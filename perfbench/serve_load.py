@@ -31,12 +31,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from metrics import SETUP_REPEATS, percentile, tail
+from metrics import REF_PROBE_S, SETUP_REPEATS, Probe, percentile, tail
 
 perf = time.perf_counter
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-NRANKS, WARMUP, STREAM_LEN, CLIENTS = 2, 12, 20000, 2
+NRANKS, WARMUP, STREAM_LEN, CLIENTS, SEGMENT_S = 2, 12, 20000, 2, 2.0
 KINDS = ("jacobi", "cg", "kali", "dht_build", "dht_lookup", "queue_stream")
 KNOWN_DEFECT = ("ShippingError", "not imported in the pool worker")
 HASH_FIELD = {"jacobi": "solution_sha256", "cg": "solution_sha256",
@@ -328,9 +328,11 @@ def measure(seed, seconds, trace, outcome, out_dir, digest_only=False):
     problems, known = outcome["problems"], []
     shm_before = shm_names()
 
-    setups, server = [], None
+    probe = Probe()
+    setups, scaled, server = [], [], None
     for rep in range(SETUP_REPEATS):
         rundir = os.path.join(out_dir, f"serve-{os.getpid()}-{rep}")
+        speed = probe.best_of() / REF_PROBE_S
         t = perf()
         server = Server(rundir, log)
         try:
@@ -340,9 +342,10 @@ def measure(seed, seconds, trace, outcome, out_dir, digest_only=False):
             server.stop(problems)
             raise SystemExit(f"error: {err}; see {log}")
         setups.append(perf() - t)
+        scaled.append(setups[-1] / speed)
         if rep < SETUP_REPEATS - 1:
             server.stop(problems)
-    outcome["setup_s"] = statistics.median(setups)
+    outcome["setup_s"] = statistics.median(scaled)
     outcome["setup_runs"] = setups
 
     from repro.serve.server import ServeClient
@@ -352,12 +355,17 @@ def measure(seed, seconds, trace, outcome, out_dir, digest_only=False):
         load = Load(server.sock, kinds, specs)
         warm, _, _ = load.run(WARMUP)
         check(warm, kinds, refs, outcome, known)
-        if trace:  # untraced first half, then pings before every job
-            plain = load.run(perf() + seconds / 2)
-            traced = load.run(perf() + seconds / 2, ping=True)
-            timed, window = plain[0] + traced[0], plain[2] + traced[2]
-        else:
-            timed, _, window = load.run(perf() + seconds)
+        # Load segments with the probe run between them (server idle); the
+        # traced half of a --trace 1 run pings before every job.
+        probes, segments = [probe.best_of()], []
+        start = perf()
+        while perf() < start + seconds:
+            traced = trace and perf() >= start + seconds / 2
+            records, pings, window = load.run(
+                min(perf() + SEGMENT_S, start + seconds), ping=traced)
+            probes.append(probe.best_of())
+            speed = (probes[-2] + probes[-1]) / 2 / REF_PROBE_S
+            segments.append((records, pings, window, speed, traced))
         fleet = ServeClient(server.sock).request("metrics")["metrics"]
         pids = [server.proc.pid] + children(server.proc.pid)
         rss = peak_rss_mb(pids)
@@ -369,20 +377,30 @@ def measure(seed, seconds, trace, outcome, out_dir, digest_only=False):
     leaked = shm_names() - shm_before
     if leaked:
         problems.append(f"{len(leaked)} /dev/shm segments outlived the run")
+    timed = [rec for seg in segments for rec in seg[0]]
     good = check(timed, kinds, refs, outcome, known)
     outcome["known_defect"] = known
     outcome["correct"] = not problems
     if problems:
         outcome["failed"] += 1  # a leak or an unexplained error fails the run
+    outcome["slowdown"] = statistics.median(probes) / REF_PROBE_S
 
+    ok = {i for i, _, _ in good}
+    window = sum(seg[2] for seg in segments)
     busy = sum(job["wall_s"] for _, _, job in good)
+    ref_window = sum(seg[2] / seg[3] for seg in segments)
+    ref_busy = sum(rec[2]["job"]["wall_s"] / seg[3] for seg in segments
+                   for rec in seg[0] if rec[0] in ok)
     lat_ms = [1e3 * lat for _, lat, _ in good]
     jobs_per_s = len(timed) / window if window else 0.0
     service = len(good) / busy if busy else 0.0
+    outcome["raw_rates"] = {"jobs": jobs_per_s, "service": service}
     outcome["end_to_end"] = {
         "setup_s": (outcome["setup_s"], "s"),
-        "primary_per_s": (jobs_per_s, "1/s"),
-        "secondary_per_s": (service, "1/s"),
+        "primary_per_s": (len(timed) / ref_window if ref_window else 0.0,
+                          "1/s"),
+        "secondary_per_s": (len(good) / ref_busy if ref_busy else 0.0,
+                            "1/s"),
         "peak_rss_mb": (rss, "MB"),
     }
     named = [("serve_jobs_per_s", jobs_per_s, "1/s", len(timed)),
@@ -393,9 +411,12 @@ def measure(seed, seconds, trace, outcome, out_dir, digest_only=False):
         named.append((f"serve_{label[0]}_ms", label[1], "ms", len(lat_ms)))
     outcome["named"] = named
     if trace:
-        outcome["per_layer"] = layer_metrics(good, traced[1], fleet,
-                                             plain[2], len(plain[0]),
-                                             traced[2], len(traced[0]))
+        plain = [seg for seg in segments if not seg[4]]
+        traced = [seg for seg in segments if seg[4]]
+        outcome["per_layer"] = layer_metrics(
+            good, [p for seg in traced for p in seg[1]], fleet,
+            sum(seg[2] for seg in plain), sum(len(seg[0]) for seg in plain),
+            sum(seg[2] for seg in traced), sum(len(seg[0]) for seg in traced))
 
 
 def layer_metrics(good, pings, fleet, plain_s, n_plain, traced_s, n_traced):
