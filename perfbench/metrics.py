@@ -99,18 +99,20 @@ class SpeedClock:
     def __init__(self, interval: float = 0.2):
         import time
 
-        self.perf = time.perf_counter
+        self.perf, self.thread_time = time.perf_counter, time.thread_time
         self.probe = Probe()
         self.interval = interval
         self.probes: list = []
+        self.cpu_probes: list = []  # the same probes in thread CPU seconds
         self.spent = 0.0
         self.calls: list = []
 
     def _tick(self, signum=None, frame=None) -> None:
-        t = self.perf()
+        t, c = self.perf(), self.thread_time()
         self.probe.kernel()
         took = self.perf() - t
         self.probes.append(took)
+        self.cpu_probes.append(self.thread_time() - c)
         self.spent += took
 
     def __enter__(self) -> "SpeedClock":

@@ -323,7 +323,7 @@ def print_report(outcome, result, trace):
           f"n={len(outcome['setup_runs'])}")
     if "slowdown" in outcome:
         print(f"  {'machine_slowdown':<32} {outcome['slowdown']:14.6g} "
-              f"{'ratio':<8} (median probe / reference; rates above are raw)")
+              f"{'ratio':<8} (probe time / reference; rates above are raw)")
     print(f"  {'fail_frac':<32} "
           f"{outcome['failed'] / max(outcome['attempted'], 1):14.6g} "
           f"{'ratio':<8} n={outcome['attempted']}")
@@ -333,8 +333,10 @@ def print_report(outcome, result, trace):
     for name, m in result["metrics"].items():
         print(f"  [{'layer' if trace else 'e2e'}] {name:<40} "
               f"{m['value']:14.6g} {m['unit']}")
-    for note in outcome.get("known_defect", []):
-        print(f"  known serve defect (counted in failed): {note}")
+    for note in outcome.get("defect_reproduced", []):
+        print(f"  known serve defect reproduced in set-up: {note}")
+    for note in outcome.get("warmup_defect", []):
+        print(f"  known serve defect in the warm-up (not timed): {note}")
     for problem in outcome["problems"][:20]:
         print(f"  PROBLEM: {problem}")
     if outcome.get("chrome_trace"):
