@@ -7,10 +7,23 @@ structured ``<experiment>.metrics.json`` next to each rendered table so
 downstream tooling (regression tracking, ``repro.obs`` dashboards) can
 consume the numbers without re-parsing ASCII.
 
-``--backend mp`` switches to the real-parallelism suite: the Jacobi
-workload on actual OS processes, each run cross-checked bit-for-bit
-against the simulator and its wall-clock ``repro-run-v1`` run file plus
-flattened metrics written into ``--metrics-dir``.
+One flag instead runs one other suite from :data:`SUITES` (at most one
+per invocation); each prints its tables, checks its gate and exits 1 on
+any ``[FAIL: ...]``:
+
+* ``--backend mp`` — M1: Jacobi on real OS processes, each run
+  bit-identical to the simulator;
+* ``--serve`` — S1 serve-tier throughput (no re-inspection on a warm
+  cache hit) and S2 sharded-fleet throughput (per-shard disk hit rate
+  never below the single pool; the speedup bar on >= 4 cores);
+* ``--tune`` — T1 adaptive layout tuning vs static layouts;
+* ``--shm`` — D1 shared-memory data plane vs pickle pipes;
+* ``--structs`` — G1 batched vs per-element distributed-structure ops;
+* ``--autopilot`` — P1 autopilot recovery after a workload shift.
+
+With ``--metrics-dir`` every suite also writes a ``repro-run-v1``
+``<leg>.run.json`` plus flattened ``<leg>.metrics.json`` per measured
+run, and one ``<experiment>.metrics.json`` document per table.
 """
 
 from __future__ import annotations
@@ -22,6 +35,8 @@ import os
 import pathlib
 import sys
 import time
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bench import calibration as cal
 from repro.bench import (
@@ -48,526 +63,418 @@ from repro.bench import (
     size_table,
 )
 from repro.machine.cost import IPSC2, NCUBE7
+from repro.machine.stats import RunResult
+from repro.obs.registry import MetricsRegistry, write_run_json
+
+#: artifact stem -> (run, run-file meta, extra registry metrics)
+Legs = Dict[str, Tuple[RunResult, Dict[str, Any], Optional[Dict[str, Any]]]]
 
 
-def _rows_to_jsonable(rows):
-    """Experiment rows (dataclasses, dicts, scalars) -> plain JSON data."""
-    if isinstance(rows, dict):
-        return rows
-    out = []
-    for row in rows:
-        if dataclasses.is_dataclass(row):
-            out.append(dataclasses.asdict(row))
-        else:
-            out.append(row)
-    return out
+@dataclasses.dataclass(frozen=True)
+class Suite:
+    """One ``python -m repro.bench`` suite.
+
+    ``run`` calls the experiment (``--fast`` picks the small sizes) and
+    returns a namespace the other fields read: ``render`` gives the text
+    to print, ``gate`` the failure messages (empty = pass), ``legs`` the
+    per-run artifacts by file stem and ``docs`` the fields of each
+    ``<experiment>.metrics.json`` document by experiment name."""
+
+    flag: str  # selecting command-line flag; "" for the paper tables
+    name: str
+    help: str
+    run: Callable[[argparse.Namespace], SimpleNamespace]
+    render: Callable[[SimpleNamespace], str]
+    gate: Callable[[SimpleNamespace], List[str]] = lambda r: []
+    legs: Callable[[SimpleNamespace], Legs] = lambda r: {}
+    docs: Callable[[SimpleNamespace], Dict[str, Dict]] = lambda r: {}
 
 
-def _main_mp(args) -> int:
-    """The ``--backend mp`` suite: real processes, wall-clock run files."""
-    from repro.obs.registry import MetricsRegistry, write_run_json
+def _slug(key: str) -> str:
+    return key.replace("+", "_").replace("-", "_")
 
-    t0 = time.time()
-    proc_counts = [2, 4] if args.fast else [2, 4, 8]
-    mesh_side = 16 if args.fast else 32
-    rows, runs = mp_wallclock(NCUBE7, proc_counts, mesh_side=mesh_side)
 
-    print(ablation_table(
-        f"M1  real OS processes (repro.machine.mp), {mesh_side}x{mesh_side} "
+# --- M1: real OS processes -------------------------------------------------
+
+
+def _mp_run(args) -> SimpleNamespace:
+    side = 16 if args.fast else 32
+    rows, runs = mp_wallclock(NCUBE7, [2, 4] if args.fast else [2, 4, 8],
+                              mesh_side=side)
+    return SimpleNamespace(rows=rows, runs=runs, side=side)
+
+
+MP = Suite(
+    flag="--backend mp", name="mp suite", run=_mp_run,
+    help="real OS processes with wall-clock run files, each "
+         "differential-checked against the simulator (M1)",
+    render=lambda r: ablation_table(
+        f"M1  real OS processes (repro.machine.mp), {r.side}x{r.side} "
         "mesh, 5 sweeps — wall seconds, differential-checked vs sim",
-        rows,
+        r.rows,
         ["wall_makespan", "wall_executor", "wall_inspector", "messages",
          "identical"],
         key_header="procs",
-    ))
-    print()
-
-    if any(r.values["identical"] != 1.0 for r in rows):
-        print("[FAIL: an mp run diverged from the simulator]")
-        return 1
-
-    metrics_dir = pathlib.Path(args.metrics_dir or "bench-mp-out")
-    metrics_dir.mkdir(parents=True, exist_ok=True)
-    for p, engine_result in runs.items():
-        run_path = metrics_dir / f"M1_mp_jacobi_p{p}.run.json"
-        write_run_json(engine_result, str(run_path), meta={
-            "backend": "mp",
-            "workload": "jacobi",
-            "machine": NCUBE7.name,
-            "mesh_side": mesh_side,
-            "nprocs": p,
-        })
-        reg = MetricsRegistry.from_run(engine_result)
-        metrics_path = metrics_dir / f"M1_mp_jacobi_p{p}.metrics.json"
-        metrics_path.write_text(reg.to_json(indent=2) + "\n")
-        print(f"[run file written to {run_path}]")
-    doc = {
-        "experiment": "M1_mp_jacobi",
-        "fast": args.fast,
-        "rows": _rows_to_jsonable(rows),
-    }
-    (metrics_dir / "M1_mp_jacobi.metrics.json").write_text(
-        json.dumps(doc, indent=2) + "\n"
-    )
-    print(f"\n[mp suite done in {time.time() - t0:.1f}s wall]")
-    return 0
+    ),
+    gate=lambda r: (["an mp run diverged from the simulator"]
+                    if any(x.values["identical"] != 1.0 for x in r.rows)
+                    else []),
+    legs=lambda r: {
+        f"M1_mp_jacobi_p{p}": (res, {
+            "backend": "mp", "workload": "jacobi", "machine": NCUBE7.name,
+            "mesh_side": r.side, "nprocs": p,
+        }, None)
+        for p, res in r.runs.items()
+    },
+    docs=lambda r: {"M1_mp_jacobi": {"rows": r.rows}},
+)
 
 
-def _main_shm(args) -> int:
-    """The ``--shm`` suite: zero-copy data plane vs the pickle path.
+# --- S1 + S2: the serve tier -----------------------------------------------
 
-    Gates on the acceptance bar for the shm data plane: at the largest
-    payload size the shm path must move payload bytes at >= 2x the
-    pickle path's throughput, with the Jacobi differential leg bit-
-    identical to the simulator and the traced comm matrix reconciling
-    exactly against per-rank byte counters."""
-    from repro.obs.registry import MetricsRegistry, write_run_json
 
-    t0 = time.time()
-    sizes = ([1 << 14, 1 << 17, 1 << 21] if args.fast
-             else [1 << 13, 1 << 16, 1 << 19, 1 << 22])
-    repeats = 6 if args.fast else 8
-    mesh_side = 16 if args.fast else 32
-    rows, runs = shm_dataplane(NCUBE7, sizes=sizes, repeats=repeats,
-                               mesh_side=mesh_side)
+def _serve_run(args) -> SimpleNamespace:
+    fast = args.fast
+    r = SimpleNamespace(njobs=5 if fast else 10, side=12 if fast else 16,
+                        shard_counts=(1, 2) if fast else (1, 2, 4),
+                        s2_njobs=12 if fast else 24,
+                        s2_families=4 if fast else 6,
+                        ncpu=os.cpu_count() or 1)
+    r.rows, r.runs = serving_throughput(NCUBE7, njobs=r.njobs,
+                                        mesh_side=r.side)
+    r.s2_rows, r.s2_details = sharded_throughput(
+        NCUBE7, shard_counts=r.shard_counts, njobs=r.s2_njobs,
+        mesh_side=10 if fast else 12, families=r.s2_families)
+    r.by_key = {row.key: row.values for row in r.rows}
+    r.s2 = {row.key: row.values for row in r.s2_rows}
+    r.top_k = max(r.shard_counts)
+    r.need = 2.5 if r.top_k >= 4 else 1.25  # the S2 speedup bar
+    return r
 
-    xfer_rows = [r for r in rows if isinstance(r.key, int)]
-    diff_row = next(r for r in rows if r.key == "jacobi-differential")
-    print(ablation_table(
-        f"D1  shm data plane vs pickle pipes (repro.machine.shm), 2 ranks, "
-        f"{repeats} payloads per size — payload MB/s and speedup",
-        xfer_rows,
-        ["pickle_MBps", "shm_MBps", "speedup", "shm_bytes", "pipe_bytes"],
-        key_header="payload_B",
-    ))
-    print()
-    print(ablation_table(
-        f"D1b Jacobi differential with shm on, {mesh_side}x{mesh_side} "
-        "mesh, P=4 — bit-identity and comm-matrix bytes parity",
-        [diff_row],
-        ["identical", "comm_matrix_parity", "shm_bytes", "pipe_bytes"],
-        key_header="leg",
-    ))
-    print()
 
+def _serve_render(r) -> str:
+    speedup = (r.by_key["warm-pool+disk"]["jobs_per_s"]
+               / r.by_key["fork-per-run"]["jobs_per_s"])
+    s2_speedup = r.s2[f"{r.top_k}-shard"]["speedup"]
+    return "\n".join([
+        ablation_table(
+            f"S1  serve-tier throughput (repro.serve), {r.njobs}x identical "
+            f"{r.side}x{r.side} Jacobi jobs, 4 ranks — wall seconds",
+            r.rows,
+            ["jobs_per_s", "p50_ms", "p95_ms", "inspector_first",
+             "inspector_rest"],
+            key_header="regime",
+        ),
+        "",
+        f"[warm-pool+disk vs fork-per-run: {speedup:.2f}x jobs/sec]",
+        "",
+        ablation_table(
+            f"S2  sharded fleet throughput, {r.s2_njobs} mixed jacobi/cg "
+            f"jobs ({r.s2_families} families), 2 ranks/shard — wall seconds",
+            r.s2_rows,
+            ["jobs_per_s", "speedup", "p50_ms", "p95_ms", "shards_used",
+             "min_hit_rate", "hit_delta"],
+            key_header="fleet",
+        ),
+        "",
+        (f"[{r.top_k}-shard vs single-pool: {s2_speedup:.2f}x jobs/sec "
+         f"(gate: >={r.need}x)]" if r.ncpu >= 4 else
+         f"[S2 speedup gate skipped: {r.ncpu} CPU core(s); measured "
+         f"{s2_speedup:.2f}x at {r.top_k} shards]"),
+    ])
+
+
+def _serve_gate(r) -> List[str]:
     failures = []
-    top = xfer_rows[-1]
-    if top.values["speedup"] < 2.0:
-        failures.append(
-            f"speedup at {top.key}B payloads is {top.values['speedup']:.2f}x "
-            "(< 2.0x bar)"
-        )
-    if diff_row.values["identical"] != 1.0:
-        failures.append("shm Jacobi run diverged from the simulator")
-    if diff_row.values["comm_matrix_parity"] != 1.0:
-        failures.append("comm matrix no longer reconciles with rank counters")
-    if diff_row.values["shm_bytes"] <= 0:
-        failures.append("shm path moved zero payload bytes (plane inactive?)")
-
-    if args.metrics_dir:
-        metrics_dir = pathlib.Path(args.metrics_dir)
-        metrics_dir.mkdir(parents=True, exist_ok=True)
-        for name, engine_result in runs.items():
-            run_path = metrics_dir / f"D1_shm_{name}.run.json"
-            write_run_json(engine_result, str(run_path), meta={
-                "backend": "mp", "experiment": "D1_shm", "leg": name,
-                "machine": NCUBE7.name,
-            })
-            reg = MetricsRegistry.from_run(engine_result)
-            (metrics_dir / f"D1_shm_{name}.metrics.json").write_text(
-                reg.to_json(indent=2) + "\n")
-        doc = {
-            "experiment": "D1_shm_dataplane",
-            "fast": args.fast,
-            "rows": _rows_to_jsonable(rows),
-        }
-        (metrics_dir / "D1_shm_dataplane.metrics.json").write_text(
-            json.dumps(doc, indent=2) + "\n")
-        print(f"[metrics written to {metrics_dir}]")
-
-    if failures:
-        for f in failures:
-            print(f"[FAIL: {f}]")
-        return 1
-    print(f"[shm suite done in {time.time() - t0:.1f}s wall: "
-          f"{top.values['speedup']:.1f}x at {top.key}B]")
-    return 0
-
-
-def _main_serve(args) -> int:
-    """The ``--serve`` suite: repeated-job throughput of the serve tier."""
-    from repro.obs.registry import MetricsRegistry, write_run_json
-
-    t0 = time.time()
-    njobs = 5 if args.fast else 10
-    mesh_side = 12 if args.fast else 16
-    rows, runs = serving_throughput(NCUBE7, njobs=njobs,
-                                    mesh_side=mesh_side)
-
-    print(ablation_table(
-        f"S1  serve-tier throughput (repro.serve), {njobs}x identical "
-        f"{mesh_side}x{mesh_side} Jacobi jobs, 4 ranks — wall seconds",
-        rows,
-        ["jobs_per_s", "p50_ms", "p95_ms", "inspector_first",
-         "inspector_rest"],
-        key_header="regime",
-    ))
-    print()
-
-    by_key = {r.key: r.values for r in rows}
-    warm = by_key["warm-pool+disk"]
-    speedup = warm["jobs_per_s"] / by_key["fork-per-run"]["jobs_per_s"]
-    print(f"[warm-pool+disk vs fork-per-run: {speedup:.2f}x jobs/sec]")
-    if warm["inspector_rest"] != 0.0:
-        print("[FAIL: warm-pool+disk re-inspected on a cache hit]")
-        return 1
-
-    # --- S2: jobs/sec vs shard count ---------------------------------
-    shard_counts = (1, 2) if args.fast else (1, 2, 4)
-    s2_njobs = 12 if args.fast else 24
-    s2_families = 4 if args.fast else 6
-    s2_side = 10 if args.fast else 12
-    s2_rows, s2_details = sharded_throughput(
-        NCUBE7, shard_counts=shard_counts, njobs=s2_njobs,
-        mesh_side=s2_side, families=s2_families)
-    print()
-    print(ablation_table(
-        f"S2  sharded fleet throughput, {s2_njobs} mixed jacobi/cg jobs "
-        f"({s2_families} families), 2 ranks/shard — wall seconds",
-        s2_rows,
-        ["jobs_per_s", "speedup", "p50_ms", "p95_ms", "shards_used",
-         "min_hit_rate", "hit_delta"],
-        key_header="fleet",
-    ))
-    print()
-
-    s2 = {r.key: r.values for r in s2_rows}
-    top_k = max(shard_counts)
-    s2_speedup = s2[f"{top_k}-shard"]["speedup"]
-    ncpu = os.cpu_count() or 1
+    if r.by_key["warm-pool+disk"]["inspector_rest"] != 0.0:
+        failures.append("warm-pool+disk re-inspected on a cache hit")
     # The per-shard cache-health half of the S2 gate holds on any
     # machine: content routing never splits a job family, so every
     # shard's disk hit rate must match what its job subset achieved on
     # the single pool (hit_delta ~ 0).
-    for k in shard_counts:
-        delta = s2[f"{k}-shard"]["hit_delta"]
+    for k in r.shard_counts:
+        delta = r.s2[f"{k}-shard"]["hit_delta"]
         if delta < -1e-9:
-            print(f"[FAIL: per-shard disk hit rate degraded at {k} "
-                  f"shards: {delta:+.3f} vs the single-pool baseline]")
-            return 1
+            failures.append(f"per-shard disk hit rate degraded at {k} "
+                            f"shards: {delta:+.3f} vs the single-pool "
+                            "baseline")
     # The speedup half needs real cores to mean anything.
-    need = 2.5 if top_k >= 4 else 1.25
-    if ncpu >= 4:
-        print(f"[{top_k}-shard vs single-pool: {s2_speedup:.2f}x jobs/sec "
-              f"(gate: >={need}x)]")
-        if s2_speedup < need:
-            print(f"[FAIL: {top_k}-shard fleet below {need}x "
-                  f"single-pool throughput]")
-            return 1
-    else:
-        print(f"[S2 speedup gate skipped: {ncpu} CPU core(s); measured "
-              f"{s2_speedup:.2f}x at {top_k} shards]")
-
-    if args.metrics_dir:
-        metrics_dir = pathlib.Path(args.metrics_dir)
-        metrics_dir.mkdir(parents=True, exist_ok=True)
-        for regime, engine_result in runs.items():
-            slug = regime.replace("+", "_").replace("-", "_")
-            run_path = metrics_dir / f"S1_serve_{slug}.run.json"
-            write_run_json(engine_result, str(run_path), meta={
-                "backend": regime,
-                "workload": "jacobi",
-                "machine": NCUBE7.name,
-                "mesh_side": mesh_side,
-                "njobs": njobs,
-            })
-            reg = MetricsRegistry.from_run(engine_result, extra={
-                f"serve.{k}": v for k, v in by_key[regime].items()
-            })
-            metrics_path = metrics_dir / f"S1_serve_{slug}.metrics.json"
-            metrics_path.write_text(reg.to_json(indent=2) + "\n")
-            print(f"[run file written to {run_path}]")
-        doc = {
-            "experiment": "S1_serve_throughput",
-            "fast": args.fast,
-            "rows": _rows_to_jsonable(rows),
-        }
-        (metrics_dir / "S1_serve_throughput.metrics.json").write_text(
-            json.dumps(doc, indent=2) + "\n"
-        )
-        s2_doc = {
-            "experiment": "S2_sharded_throughput",
-            "fast": args.fast,
-            "cpu_count": ncpu,
-            "rows": _rows_to_jsonable(s2_rows),
-            "per_shard": {str(k): v for k, v in s2_details.items()},
-        }
-        (metrics_dir / "S2_sharded_throughput.metrics.json").write_text(
-            json.dumps(s2_doc, indent=2) + "\n"
-        )
-    print(f"\n[serve suite done in {time.time() - t0:.1f}s wall]")
-    return 0
+    if r.ncpu >= 4 and r.s2[f"{r.top_k}-shard"]["speedup"] < r.need:
+        failures.append(f"{r.top_k}-shard fleet below {r.need}x "
+                        "single-pool throughput")
+    return failures
 
 
-def _main_tune(args) -> int:
-    """The ``--tune`` suite: adaptive tuner vs static layouts, gated."""
-    from repro.obs.registry import MetricsRegistry, write_run_json
+SERVE = Suite(
+    flag="--serve", name="serve suite", run=_serve_run,
+    help="the serve-tier (S1) and sharded-fleet (S2) throughput suite",
+    render=_serve_render, gate=_serve_gate,
+    legs=lambda r: {
+        f"S1_serve_{_slug(regime)}": (res, {
+            "backend": regime, "workload": "jacobi", "machine": NCUBE7.name,
+            "mesh_side": r.side, "njobs": r.njobs,
+        }, {f"serve.{k}": v for k, v in r.by_key[regime].items()})
+        for regime, res in r.runs.items()
+    },
+    docs=lambda r: {
+        "S1_serve_throughput": {"rows": r.rows},
+        "S2_sharded_throughput": {"cpu_count": r.ncpu, "rows": r.s2_rows,
+                                  "per_shard": r.s2_details},
+    },
+)
 
-    t0 = time.time()
-    nprocs = 4 if args.fast else 8
-    nodes = 400 if args.fast else 600
-    sweeps = 16
-    rows, runs = adaptive_vs_static(NCUBE7, nprocs=nprocs, nodes=nodes,
-                                    sweeps=sweeps)
 
-    print(ablation_table(
-        f"T1  adaptive layout tuning (repro.tune), {nodes}-node shuffled "
-        f"mesh, P={nprocs}, {sweeps} sweeps — virtual seconds",
-        rows,
-        ["makespan", "steady_sweep", "moves", "decisions", "identical"],
-        key_header="regime",
-    ))
-    print()
+# --- T1: adaptive layout tuning --------------------------------------------
 
-    by_key = {r.key: r.values for r in rows}
-    adaptive = by_key["adaptive"]
-    static_rcb = by_key["static-rcb"]
-    static_bad = by_key["static-bad"]
-    ratio = adaptive["steady_sweep"] / static_rcb["steady_sweep"]
-    print(f"[adaptive steady-state sweep vs static-rcb: {ratio:.3f}x "
-          f"after {adaptive['moves']:g} move(s)]")
 
-    # The acceptance gate: the tuner must land within 15% of the static
-    # oracle's steady-state sweep cost, strictly beat the layout it was
-    # handed, move at most twice, and never perturb the answer.
+def _tune_run(args) -> SimpleNamespace:
+    r = SimpleNamespace(nprocs=4 if args.fast else 8,
+                        nodes=400 if args.fast else 600, sweeps=16)
+    r.rows, r.runs = adaptive_vs_static(NCUBE7, nprocs=r.nprocs,
+                                        nodes=r.nodes, sweeps=r.sweeps)
+    r.by_key = {row.key: row.values for row in r.rows}
+    r.adaptive = r.by_key["adaptive"]
+    r.ratio = (r.adaptive["steady_sweep"]
+               / r.by_key["static-rcb"]["steady_sweep"])
+    return r
+
+
+def _tune_gate(r) -> List[str]:
+    # The tuner must land within 15% of the static oracle's steady-state
+    # sweep cost, strictly beat the layout it was handed, move at most
+    # twice, and never perturb the answer.
     failures = []
-    if ratio > 1.15:
-        failures.append(f"steady-state sweep {ratio:.3f}x static-rcb (>1.15)")
-    if adaptive["steady_sweep"] >= static_bad["steady_sweep"]:
+    if r.ratio > 1.15:
+        failures.append(f"steady-state sweep {r.ratio:.3f}x static-rcb "
+                        "(>1.15)")
+    if r.adaptive["steady_sweep"] >= r.by_key["static-bad"]["steady_sweep"]:
         failures.append("adaptive did not beat static-bad steady state")
-    if adaptive["moves"] > 2:
-        failures.append(f"{adaptive['moves']:g} moves (> 2)")
-    if any(r.values["identical"] != 1.0 for r in rows):
+    if r.adaptive["moves"] > 2:
+        failures.append(f"{r.adaptive['moves']:g} moves (> 2)")
+    if any(row.values["identical"] != 1.0 for row in r.rows):
         failures.append("final arrays diverged across regimes")
-    for msg in failures:
-        print(f"[FAIL: {msg}]")
-
-    if args.metrics_dir:
-        metrics_dir = pathlib.Path(args.metrics_dir)
-        metrics_dir.mkdir(parents=True, exist_ok=True)
-        for regime, engine_result in runs.items():
-            slug = regime.replace("-", "_")
-            run_path = metrics_dir / f"T1_tune_{slug}.run.json"
-            write_run_json(engine_result, str(run_path), meta={
-                "workload": "jacobi-adaptive",
-                "regime": regime,
-                "machine": NCUBE7.name,
-                "nodes": nodes,
-                "nprocs": nprocs,
-                "sweeps": sweeps,
-            })
-            reg = MetricsRegistry.from_run(engine_result, extra={
-                f"tune.{k}": v for k, v in by_key[regime].items()
-            })
-            metrics_path = metrics_dir / f"T1_tune_{slug}.metrics.json"
-            metrics_path.write_text(reg.to_json(indent=2) + "\n")
-            print(f"[run file written to {run_path}]")
-        doc = {
-            "experiment": "T1_adaptive_vs_static",
-            "fast": args.fast,
-            "rows": _rows_to_jsonable(rows),
-        }
-        (metrics_dir / "T1_adaptive_vs_static.metrics.json").write_text(
-            json.dumps(doc, indent=2) + "\n"
-        )
-    print(f"\n[tune suite done in {time.time() - t0:.1f}s wall]")
-    return 1 if failures else 0
+    return failures
 
 
-def _main_structs(args) -> int:
-    """The ``--structs`` suite: G1, batched vs naive DHash op throughput.
+TUNE = Suite(
+    flag="--tune", name="tune suite", run=_tune_run,
+    help="the adaptive layout-tuning suite (T1)",
+    render=lambda r: "\n".join([
+        ablation_table(
+            f"T1  adaptive layout tuning (repro.tune), {r.nodes}-node "
+            f"shuffled mesh, P={r.nprocs}, {r.sweeps} sweeps — virtual "
+            "seconds",
+            r.rows,
+            ["makespan", "steady_sweep", "moves", "decisions", "identical"],
+            key_header="regime",
+        ),
+        "",
+        f"[adaptive steady-state sweep vs static-rcb: {r.ratio:.3f}x "
+        f"after {r.adaptive['moves']:g} move(s)]",
+    ]),
+    gate=_tune_gate,
+    legs=lambda r: {
+        f"T1_tune_{_slug(regime)}": (res, {
+            "workload": "jacobi-adaptive", "regime": regime,
+            "machine": NCUBE7.name, "nodes": r.nodes, "nprocs": r.nprocs,
+            "sweeps": r.sweeps,
+        }, {f"tune.{k}": v for k, v in r.by_key[regime].items()})
+        for regime, res in r.runs.items()
+    },
+    docs=lambda r: {"T1_adaptive_vs_static": {"rows": r.rows}},
+)
 
-    Gates on the repro.structs acceptance bar: from P=4 up, the batched
-    combining protocol must beat the naive one-exchange-per-element mode
-    by >= 3x in virtual makespan on the same insert+lookup workload."""
-    from repro.obs.registry import MetricsRegistry, write_run_json
 
-    t0 = time.time()
-    proc_counts = [1, 4] if args.fast else [1, 4, 8]
-    n = 128 if args.fast else 256
-    rows, runs = structs_throughput(NCUBE7, proc_counts=proc_counts, n=n,
-                                    lookups=n)
+# --- D1: the shm data plane ------------------------------------------------
 
-    print(ablation_table(
-        f"G1  distributed-structure ops (repro.structs), {n} inserts + "
-        f"{n} lookups on a DHash — batched combining vs per-element "
-        "exchanges, virtual seconds",
-        rows,
-        ["batched_s", "naive_s", "speedup", "batched_msgs", "naive_msgs"],
-        key_header="procs",
-    ))
-    print()
 
+def _shm_run(args) -> SimpleNamespace:
+    r = SimpleNamespace(repeats=6 if args.fast else 8,
+                        side=16 if args.fast else 32)
+    r.rows, r.runs = shm_dataplane(
+        NCUBE7,
+        sizes=([1 << 14, 1 << 17, 1 << 21] if args.fast
+               else [1 << 13, 1 << 16, 1 << 19, 1 << 22]),
+        repeats=r.repeats, mesh_side=r.side)
+    r.xfer = [row for row in r.rows if isinstance(row.key, int)]
+    r.diff = next(row for row in r.rows
+                  if row.key == "jacobi-differential").values
+    return r
+
+
+def _shm_gate(r) -> List[str]:
+    # At the largest payload the shm path must move bytes at >= 2x the
+    # pickle path, with the Jacobi leg bit-identical to the simulator
+    # and the traced comm matrix reconciling with per-rank counters.
+    top = r.xfer[-1]
     failures = []
-    for row in rows:
-        if row.key >= 4 and row.values["speedup"] < 3.0:
-            failures.append(
-                f"P={row.key}: batched speedup {row.values['speedup']:.2f}x "
-                "(< 3.0x bar)"
-            )
-
-    if args.metrics_dir:
-        metrics_dir = pathlib.Path(args.metrics_dir)
-        metrics_dir.mkdir(parents=True, exist_ok=True)
-        for name, engine_result in runs.items():
-            run_path = metrics_dir / f"G1_structs_{name}.run.json"
-            write_run_json(engine_result, str(run_path), meta={
-                "backend": "sim", "experiment": "G1_structs", "leg": name,
-                "machine": NCUBE7.name,
-            })
-            reg = MetricsRegistry.from_run(engine_result)
-            (metrics_dir / f"G1_structs_{name}.metrics.json").write_text(
-                reg.to_json(indent=2) + "\n")
-        doc = {
-            "experiment": "G1_structs_throughput",
-            "fast": args.fast,
-            "rows": _rows_to_jsonable(rows),
-        }
-        (metrics_dir / "G1_structs_throughput.metrics.json").write_text(
-            json.dumps(doc, indent=2) + "\n")
-        print(f"[metrics written to {metrics_dir}]")
-
-    if failures:
-        for f in failures:
-            print(f"[FAIL: {f}]")
-        return 1
-    best = max(r.values["speedup"] for r in rows if r.key >= 4)
-    print(f"[structs suite done in {time.time() - t0:.1f}s wall: "
-          f"best batched speedup {best:.1f}x]")
-    return 0
+    if top.values["speedup"] < 2.0:
+        failures.append(f"speedup at {top.key}B payloads is "
+                        f"{top.values['speedup']:.2f}x (< 2.0x bar)")
+    if r.diff["identical"] != 1.0:
+        failures.append("shm Jacobi run diverged from the simulator")
+    if r.diff["comm_matrix_parity"] != 1.0:
+        failures.append("comm matrix no longer reconciles with rank counters")
+    if r.diff["shm_bytes"] <= 0:
+        failures.append("shm path moved zero payload bytes (plane inactive?)")
+    return failures
 
 
-def _main_autopilot(args) -> int:
-    """The ``--autopilot`` suite: P1, workload-shift recovery, gated.
+SHM = Suite(
+    flag="--shm", name="shm suite", run=_shm_run,
+    help="the shared-memory data-plane suite (D1)",
+    render=lambda r: "\n".join([
+        ablation_table(
+            "D1  shm data plane vs pickle pipes (repro.machine.shm), 2 "
+            f"ranks, {r.repeats} payloads per size — payload MB/s and "
+            "speedup",
+            r.xfer,
+            ["pickle_MBps", "shm_MBps", "speedup", "shm_bytes",
+             "pipe_bytes"],
+            key_header="payload_B",
+        ),
+        "",
+        ablation_table(
+            f"D1b Jacobi differential with shm on, {r.side}x{r.side} mesh, "
+            "P=4 — bit-identity and comm-matrix bytes parity",
+            [row for row in r.rows if row.key == "jacobi-differential"],
+            ["identical", "comm_matrix_parity", "shm_bytes", "pipe_bytes"],
+            key_header="leg",
+        ),
+        "",
+        f"[shm vs pickle at {r.xfer[-1].key}B payloads: "
+        f"{r.xfer[-1].values['speedup']:.1f}x]",
+    ]),
+    gate=_shm_gate,
+    legs=lambda r: {
+        f"D1_shm_{name}": (res, {
+            "backend": "mp", "experiment": "D1_shm", "leg": name,
+            "machine": NCUBE7.name,
+        }, None)
+        for name, res in r.runs.items()
+    },
+    docs=lambda r: {"D1_shm_dataplane": {"rows": r.rows}},
+)
 
-    The acceptance bar (ISSUE P1): after an induced mid-stream workload
-    shift, the autopilot fleet's steady-state jobs/sec must recover to
-    >= 1.15x the frozen-plan fleet within the bounded job budget, with
-    every job bit-identical to its frozen twin, and the promotion
-    decision recorded in the repro-autopilot-v1 journal and the
-    ``autopilot.*`` registry metrics."""
-    from repro.obs.registry import MetricsRegistry
 
-    t0 = time.time()
-    nodes = 400 if args.fast else 600
-    max_jobs = 16 if args.fast else 24
-    tail = 4 if args.fast else 5
-    rows, info = autopilot_shift(NCUBE7, nprocs=2, nodes=nodes,
-                                 max_jobs=max_jobs, tail=tail)
+# --- G1: distributed structures --------------------------------------------
 
-    print(ablation_table(
-        f"P1  online tuning autopilot (repro.autopilot), {nodes}-node "
-        f"frozen-plan Jacobi stream after a mid-stream family shift — "
-        f"steady-state tail of {tail} jobs, modeled service seconds",
-        rows,
-        ["jobs_per_s", "tail_service_s", "tail_wall_s", "recovery"],
-        key_header="fleet",
-    ))
-    print()
-    promoted_at = info["promoted_at_job"]
-    print(f"[promotion landed after phase-2 job {promoted_at} "
-          f"of {info['phase2_jobs']} "
-          f"({info['forced_replans']} forced replans); "
-          f"decisions: {[d.get('decision') for d in info['decisions']]}]")
 
-    by_key = {r.key: r.values for r in rows}
-    recovery = by_key["autopilot"]["recovery"]
-    reg = MetricsRegistry.from_fleet({"autopilot": info["autopilot"],
-                                      "shards": []})
+def _structs_run(args) -> SimpleNamespace:
+    r = SimpleNamespace(n=128 if args.fast else 256)
+    r.rows, r.runs = structs_throughput(
+        NCUBE7, proc_counts=[1, 4] if args.fast else [1, 4, 8], n=r.n,
+        lookups=r.n)
+    return r
 
+
+STRUCTS = Suite(
+    flag="--structs", name="structs suite", run=_structs_run,
+    help="the distributed-structure throughput suite (G1)",
+    render=lambda r: "\n".join([
+        ablation_table(
+            f"G1  distributed-structure ops (repro.structs), {r.n} inserts "
+            f"+ {r.n} lookups on a DHash — batched combining vs per-element "
+            "exchanges, virtual seconds",
+            r.rows,
+            ["batched_s", "naive_s", "speedup", "batched_msgs", "naive_msgs"],
+            key_header="procs",
+        ),
+        "",
+        "[best batched speedup from P=4 up: "
+        f"{max(row.values['speedup'] for row in r.rows if row.key >= 4):.1f}"
+        "x]",
+    ]),
+    # From P=4 up the batched combining protocol must beat the naive
+    # one-exchange-per-element mode by >= 3x in virtual makespan.
+    gate=lambda r: [
+        f"P={row.key}: batched speedup {row.values['speedup']:.2f}x "
+        "(< 3.0x bar)"
+        for row in r.rows if row.key >= 4 and row.values["speedup"] < 3.0
+    ],
+    legs=lambda r: {
+        f"G1_structs_{name}": (res, {
+            "backend": "sim", "experiment": "G1_structs", "leg": name,
+            "machine": NCUBE7.name,
+        }, None)
+        for name, res in r.runs.items()
+    },
+    docs=lambda r: {"G1_structs_throughput": {"rows": r.rows}},
+)
+
+
+# --- P1: the autopilot -----------------------------------------------------
+
+
+def _autopilot_run(args) -> SimpleNamespace:
+    r = SimpleNamespace(nodes=400 if args.fast else 600,
+                        max_jobs=16 if args.fast else 24,
+                        tail=4 if args.fast else 5)
+    r.rows, r.info = autopilot_shift(NCUBE7, nprocs=2, nodes=r.nodes,
+                                     max_jobs=r.max_jobs, tail=r.tail)
+    r.registry = MetricsRegistry.from_fleet(
+        {"autopilot": r.info["autopilot"], "shards": []})
+    return r
+
+
+def _autopilot_gate(r) -> List[str]:
+    # After the shift the autopilot fleet's steady state must recover to
+    # >= 1.15x the frozen-plan fleet within the job budget, every job
+    # bit-identical to its frozen twin, and the promotion recorded in
+    # the journal and the autopilot.* registry metrics.
+    info = r.info
+    recovery = next(row.values["recovery"] for row in r.rows
+                    if row.key == "autopilot")
     failures = []
     if recovery < 1.15:
-        failures.append(
-            f"steady-state recovery {recovery:.3f}x frozen (< 1.15x)")
-    if promoted_at is None:
-        failures.append(
-            f"no promotion within the {max_jobs}-job budget")
+        failures.append(f"steady-state recovery {recovery:.3f}x frozen "
+                        "(< 1.15x)")
+    if info["promoted_at_job"] is None:
+        failures.append(f"no promotion within the {r.max_jobs}-job budget")
     if not info["twins_identical"]:
         failures.append("a job's solution diverged from its frozen twin")
     if not any(d.get("decision") == "promoted" for d in info["decisions"]):
         failures.append("no promoted decision in the autopilot journal")
-    if reg.get("autopilot.promoted", 0) < 1:
+    if r.registry.get("autopilot.promoted", 0) < 1:
         failures.append("autopilot.promoted metric missing from registry")
-    for msg in failures:
-        print(f"[FAIL: {msg}]")
-
-    if args.metrics_dir:
-        metrics_dir = pathlib.Path(args.metrics_dir)
-        metrics_dir.mkdir(parents=True, exist_ok=True)
-        doc = {
-            "experiment": "P1_autopilot_shift",
-            "fast": args.fast,
-            "rows": _rows_to_jsonable(rows),
-            "promoted_at_job": promoted_at,
-            "phase2_jobs": info["phase2_jobs"],
-            "twins_identical": info["twins_identical"],
-            "forced_replans": info["forced_replans"],
-            "decisions": info["decisions"],
-            "registry": reg.as_dict(),
-        }
-        (metrics_dir / "P1_autopilot_shift.metrics.json").write_text(
-            json.dumps(doc, indent=2) + "\n")
-        print(f"[metrics written to {metrics_dir}]")
-
-    print(f"\n[autopilot suite done in {time.time() - t0:.1f}s wall]")
-    return 1 if failures else 0
+    return failures
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--fast", action="store_true", help="small meshes only")
-    ap.add_argument("--full", action="store_true",
-                    help="run all 100 sweeps (no extrapolation)")
-    ap.add_argument("--metrics-dir", default=None, metavar="DIR",
-                    help="also write <experiment>.metrics.json files here")
-    ap.add_argument("--backend", choices=("sim", "mp"), default="sim",
-                    help="sim: virtual-time tables (default); mp: real "
-                         "OS processes with wall-clock run files")
-    ap.add_argument("--serve", action="store_true",
-                    help="run the serve-tier throughput suite (S1) instead "
-                         "of the paper tables")
-    ap.add_argument("--tune", action="store_true",
-                    help="run the adaptive layout-tuning suite (T1) instead "
-                         "of the paper tables")
-    ap.add_argument("--shm", action="store_true",
-                    help="run the shared-memory data-plane suite (D1) "
-                         "instead of the paper tables")
-    ap.add_argument("--structs", action="store_true",
-                    help="run the distributed-structure throughput suite "
-                         "(G1) instead of the paper tables")
-    ap.add_argument("--autopilot", action="store_true",
-                    help="run the online-tuning autopilot recovery suite "
-                         "(P1) instead of the paper tables")
-    args = ap.parse_args(argv)
+AUTOPILOT = Suite(
+    flag="--autopilot", name="autopilot suite", run=_autopilot_run,
+    help="the online-tuning autopilot recovery suite (P1)",
+    render=lambda r: "\n".join([
+        ablation_table(
+            f"P1  online tuning autopilot (repro.autopilot), {r.nodes}-node "
+            "frozen-plan Jacobi stream after a mid-stream family shift — "
+            f"steady-state tail of {r.tail} jobs, modeled service seconds",
+            r.rows,
+            ["jobs_per_s", "tail_service_s", "tail_wall_s", "recovery"],
+            key_header="fleet",
+        ),
+        "",
+        f"[promotion landed after phase-2 job {r.info['promoted_at_job']} "
+        f"of {r.info['phase2_jobs']} ({r.info['forced_replans']} forced "
+        "replans); decisions: "
+        f"{[d.get('decision') for d in r.info['decisions']]}]",
+    ]),
+    gate=_autopilot_gate,
+    docs=lambda r: {"P1_autopilot_shift": {
+        "rows": r.rows,
+        **{k: r.info[k] for k in ("promoted_at_job", "phase2_jobs",
+                                  "twins_identical", "forced_replans",
+                                  "decisions")},
+        "registry": r.registry.as_dict(),
+    }},
+)
 
-    if args.autopilot:
-        return _main_autopilot(args)
-    if args.structs:
-        return _main_structs(args)
-    if args.shm:
-        return _main_shm(args)
-    if args.tune:
-        return _main_tune(args)
-    if args.serve:
-        return _main_serve(args)
-    if args.backend == "mp":
-        return _main_mp(args)
 
+# --- E1-E5, A1-A4, F1-F2: the paper tables ---------------------------------
+
+
+def _paper_run(args) -> SimpleNamespace:
     measured = cal.PAPER_SWEEPS if args.full else None
     sides = [64, 128, 256] if args.fast else cal.MESH_SIDES
-
-    t0 = time.time()
-
     # (slug, table text, structured rows) per experiment, in paper order.
     experiments = []
 
@@ -682,28 +589,91 @@ def main(argv=None) -> int:
                        key_header="straggler"),
         rows,
     ))
+    return SimpleNamespace(experiments=experiments, full=args.full)
 
-    metrics_dir = pathlib.Path(args.metrics_dir) if args.metrics_dir else None
-    if metrics_dir is not None:
-        metrics_dir.mkdir(parents=True, exist_ok=True)
 
-    for slug, text, rows in experiments:
-        print(text)
-        print()
-        if metrics_dir is not None:
-            doc = {
-                "experiment": slug,
-                "fast": args.fast,
-                "full": args.full,
-                "rows": _rows_to_jsonable(rows),
-            }
-            path = metrics_dir / f"{slug}.metrics.json"
-            path.write_text(json.dumps(doc, indent=2) + "\n")
-            print(f"[metrics written to {path}]")
-            print()
+PAPER = Suite(
+    flag="", name="paper tables", run=_paper_run,
+    help="the paper's virtual-time tables (E1-E5, A1-A4, F1-F2)",
+    render=lambda r: "\n\n".join(text for _, text, _ in r.experiments),
+    docs=lambda r: {slug: {"full": r.full, "rows": rows}
+                    for slug, _, rows in r.experiments},
+)
 
-    print(f"[all tables regenerated in {time.time() - t0:.1f}s wall]")
-    return 0
+#: every suite, selected by its flag (the paper tables when none is given)
+SUITES = (MP, SERVE, TUNE, SHM, STRUCTS, AUTOPILOT, PAPER)
+
+
+# --- the one writer and the driver -----------------------------------------
+
+
+def _jsonable(obj):
+    """Experiment rows are dataclasses; everything else is plain JSON."""
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def write_artifacts(metrics_dir: pathlib.Path, fast: bool, legs: Legs,
+                    docs: Dict[str, Dict]) -> None:
+    """Write each leg's ``<stem>.run.json`` (repro-run-v1) and flattened
+    ``<stem>.metrics.json``, then one ``<experiment>.metrics.json``
+    document per table."""
+    metrics_dir.mkdir(parents=True, exist_ok=True)
+    for stem, (result, meta, extra) in legs.items():
+        write_run_json(result, str(metrics_dir / f"{stem}.run.json"),
+                       meta=meta)
+        reg = MetricsRegistry.from_run(result, extra=extra)
+        (metrics_dir / f"{stem}.metrics.json").write_text(
+            reg.to_json(indent=2) + "\n")
+    for experiment, fields in docs.items():
+        doc = {"experiment": experiment, "fast": fast, **fields}
+        (metrics_dir / f"{experiment}.metrics.json").write_text(
+            json.dumps(doc, indent=2, default=_jsonable) + "\n")
+    print(f"[metrics written to {metrics_dir}]")
+
+
+def _selected(args, suite: Suite) -> bool:
+    option, _, value = suite.flag.partition(" ")
+    return getattr(args, option[2:]) == (value or True)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--fast", action="store_true", help="small meshes only")
+    ap.add_argument("--full", action="store_true",
+                    help="run all 100 sweeps (no extrapolation)")
+    ap.add_argument("--metrics-dir", default=None, metavar="DIR",
+                    help="also write <experiment>.metrics.json files here")
+    ap.add_argument("--backend", choices=("sim", "mp"), default="sim",
+                    help=f"sim: {PAPER.help} (default); mp: {MP.help}")
+    for suite in SUITES:
+        if suite.flag and " " not in suite.flag:  # --backend mp is above
+            ap.add_argument(suite.flag, action="store_true",
+                            help=f"run {suite.help} instead of the paper "
+                                 "tables")
+    args = ap.parse_args(argv)
+
+    chosen = [s for s in SUITES if s.flag and _selected(args, s)]
+    if len(chosen) > 1:
+        ap.error("choose one suite, not "
+                 + " and ".join(s.flag for s in chosen))
+    suite = chosen[0] if chosen else PAPER
+
+    t0 = time.time()
+    r = suite.run(args)
+    print(suite.render(r))
+    print()
+    if args.metrics_dir:
+        write_artifacts(pathlib.Path(args.metrics_dir), args.fast,
+                        suite.legs(r), suite.docs(r))
+    failures = suite.gate(r)
+    for msg in failures:
+        print(f"[FAIL: {msg}]")
+    print(f"[{suite.name} done in {time.time() - t0:.1f}s wall]")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

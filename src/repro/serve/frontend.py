@@ -1,9 +1,8 @@
 """Asyncio front end: many JSON-lines clients, one sharded fleet.
 
-The blocking front (`JobServer.serve_forever`) spends a thread per
-connection and blocks it for the full wall time of every ``submit`` —
-fine for a smoke test, hopeless for a fleet.  :class:`AsyncFrontend`
-multiplexes every connection on one event loop:
+:class:`AsyncFrontend` is the server's one socket front (what ``python -m
+repro.serve start`` runs); it multiplexes every connection on one event
+loop:
 
 * **submit** runs admission + routing inline (microseconds — it only
   touches the router and a queue lock) and then *awaits* the job's
@@ -16,12 +15,11 @@ multiplexes every connection on one event loop:
   ``asyncio.to_thread`` — the loop keeps serving other clients while
   one connection waits for the fleet to go idle.
 * everything else (``ping``, ``stat``, ``metrics``, ``scale``,
-  ``stop``) is fast and handled inline via the same
-  :meth:`JobServer.handle_request` the blocking front uses, so the two
-  fronts cannot drift apart on protocol.
+  ``autopilot``, ``stop``) is fast and handled inline by
+  :meth:`JobServer.handle_request`.
 
-The wire protocol is unchanged: one JSON object per line in, one per
-line out, ``{"ok": false, "shed": true, ...}`` for admission rejections,
+The wire protocol: one JSON object per line in, one per line out,
+``{"ok": false, "shed": true, ...}`` for admission rejections,
 ``{"ok": true, "stopping": true}`` terminating the server.
 """
 

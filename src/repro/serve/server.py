@@ -15,9 +15,8 @@ amortize *per shard*, exactly as they did for the single pool).
 Job kinds are a registry: ``jacobi`` and ``cg`` run the paper's two
 workloads from shape parameters; ``kali`` compiles and runs Kali source
 shipped in the spec.  :func:`register_job_kind` adds more.  A runner
-receives the *shard* executing the job (duck-compatible with the old
-single-pool server: ``nranks``, ``machine``, ``pool``, ``cache_dir``,
-``tune_dir``).
+receives the *shard* executing the job (``nranks``, ``machine``,
+``pool``, ``cache_dir``, ``tune_dir``).
 
 Serving-layer failure semantics (see docs/serving.md):
 
@@ -34,11 +33,10 @@ Serving-layer failure semantics (see docs/serving.md):
   never double-completed — which the chaos suite pins down under
   seeded worker kills.
 
-The blocking socket front (`serve_forever`) speaks JSON-lines over a
-unix socket — ``ping``, ``submit``, ``stat``, ``drain``, ``scale``,
-``stop`` — and survives for compatibility; the asyncio front end in
-:mod:`repro.serve.frontend` multiplexes many connections over the same
-protocol and is what ``python -m repro.serve start`` runs.
+The socket front is the asyncio front end in :mod:`repro.serve.frontend`
+(what ``python -m repro.serve start`` runs): JSON-lines over a unix
+socket — ``ping``, ``submit``, ``stat``, ``metrics``, ``drain``,
+``scale``, ``autopilot``, ``stop``.
 """
 
 from __future__ import annotations
@@ -189,6 +187,31 @@ def _run_kali(server: "Shard", spec: Dict) -> Tuple[RunResult, Dict]:
     return res.timing.engine, summary
 
 
+def _scrambled_jacobi(shard: "Shard", spec: Dict, nodes: int, pool=None):
+    """The program both tuned Jacobi kinds run: Jacobi on a random
+    unstructured mesh under a deliberately scrambled (``seed + 1``) owner
+    map, initial values from ``init_seed``, against the shard's disk
+    schedule cache and learned-plan store.  Returns ``(mesh, points,
+    program)``."""
+    from repro.apps.jacobi import build_jacobi
+    from repro.distributions.custom import Custom
+    from repro.meshes.unstructured import random_unstructured_mesh
+
+    seed = int(spec.get("seed", 7))
+    mesh, points = random_unstructured_mesh(nodes, seed=seed,
+                                            locality_sort=False)
+    rng = np.random.default_rng(seed + 1)
+    scrambled = Custom(rng.integers(0, shard.nranks, size=mesh.n))
+    init = np.random.default_rng(int(spec.get("init_seed", 12345))).random(
+        mesh.n)
+    prog = build_jacobi(
+        mesh, shard.nranks, machine=shard.machine, dist=scrambled,
+        initial=init, pool=pool, schedule_cache_dir=shard.cache_dir,
+        tune=shard.tune_dir,
+    )
+    return mesh, points, prog
+
+
 def _run_jacobi_adaptive(server: "Shard",
                          spec: Dict) -> Tuple[RunResult, Dict]:
     """Shuffled unstructured-mesh Jacobi under the adaptive layout tuner.
@@ -199,25 +222,11 @@ def _run_jacobi_adaptive(server: "Shard",
     jobs with the same fingerprint then warm-start directly in the
     learned layout (``tune_applied`` True, ``tune_moves`` 0).
     """
-    from repro.apps.jacobi import build_jacobi
-    from repro.distributions.custom import Custom
-    from repro.meshes.unstructured import random_unstructured_mesh
     from repro.tune import AdaptiveRunner, TunePolicy, TuneSpec
 
-    nodes = int(spec.get("nodes", 600))
     sweeps = int(spec.get("sweeps", 16))
-    seed = int(spec.get("seed", 7))
-    mesh, points = random_unstructured_mesh(nodes, seed=seed,
-                                            locality_sort=False)
-    rng = np.random.default_rng(seed + 1)
-    bad = Custom(rng.integers(0, server.nranks, size=mesh.n))
-    init = np.random.default_rng(int(spec.get("init_seed", 12345))).random(
-        mesh.n)
-    prog = build_jacobi(
-        mesh, server.nranks, machine=server.machine, dist=bad, initial=init,
-        pool=server.pool, schedule_cache_dir=server.cache_dir,
-        tune=server.tune_dir,
-    )
+    mesh, points, prog = _scrambled_jacobi(
+        server, spec, int(spec.get("nodes", 600)), pool=server.pool)
     runner = AdaptiveRunner(
         TuneSpec(arrays=["a", "old_a", "count", "adj", "coef"],
                  table="adj", count="count", points=points),
@@ -257,24 +266,9 @@ def _run_jacobi_served(server: "Shard",
     reports — the quantity a layout change moves, and the one the
     autopilot's A/B compares deterministically.
     """
-    from repro.apps.jacobi import build_jacobi
-    from repro.distributions.custom import Custom
-    from repro.meshes.unstructured import random_unstructured_mesh
-
-    nodes = int(spec.get("nodes", 400))
     sweeps = int(spec.get("sweeps", 8))
-    seed = int(spec.get("seed", 7))
-    mesh, points = random_unstructured_mesh(nodes, seed=seed,
-                                            locality_sort=False)
-    rng = np.random.default_rng(seed + 1)
-    scrambled = Custom(rng.integers(0, server.nranks, size=mesh.n))
-    init = np.random.default_rng(int(spec.get("init_seed", 12345))).random(
-        mesh.n)
-    prog = build_jacobi(
-        mesh, server.nranks, machine=server.machine, dist=scrambled,
-        initial=init,
-        schedule_cache_dir=server.cache_dir, tune=server.tune_dir,
-    )
+    mesh, _, prog = _scrambled_jacobi(server, spec,
+                                      int(spec.get("nodes", 400)))
     plan_key = (prog.ctx.tune_fingerprint()
                 if server.tune_dir is not None else None)
     result = prog.run(sweeps)
@@ -646,7 +640,6 @@ class JobServer:
         self._lock = threading.Lock()
         self._fleet_lock = threading.RLock()
         self._stop = threading.Event()
-        self._sock: Optional[socket.socket] = None
         self._started_at = time.monotonic()
         self._next_shard_index = 0
         self.router = ShardRouter()
@@ -667,18 +660,6 @@ class JobServer:
             self.autopilot = Autopilot(self, policy_obj)
         if metrics_dir:
             os.makedirs(metrics_dir, exist_ok=True)
-
-    # --- compat accessors (single-pool era) ------------------------------
-
-    @property
-    def pool(self) -> RankPool:
-        """The first shard's pool (single-shard compatibility)."""
-        return self.shards[0].pool
-
-    @property
-    def queue(self) -> JobQueue:
-        """The first shard's queue (single-shard compatibility)."""
-        return self.shards[0].queue
 
     # --- fleet membership ------------------------------------------------
 
@@ -1010,19 +991,6 @@ class JobServer:
             from repro.tune.store import PlanStore
 
             tune["entries"] = len(PlanStore(self.tune_dir).entries())
-        # The aggregate "pool" block: the per-shard sums, under the same
-        # keys the single-pool stat always reported, so dashboards and
-        # scripts keyed on stat()["pool"] read fleet totals unchanged.
-        pool = {
-            "warm": any(e["warm"] for e in shard_entries),
-            "jobs_done": sum(e["pool_jobs_done"] for e in shard_entries),
-            "rebuilds": sum(e["rebuilds"] for e in shard_entries),
-            "meshes_built": sum(e["meshes_built"] for e in shard_entries),
-            "shm_ship_bytes": sum(e["shm_ship_bytes"]
-                                  for e in shard_entries),
-            "shm_reclaimed_bytes": sum(e["shm_reclaimed_bytes"]
-                                       for e in shard_entries),
-        }
         stat = {
             "nranks": self.nranks,
             "policy": self.policy,
@@ -1039,7 +1007,6 @@ class JobServer:
             "tenant_pending": tenant_pending,
             "shards": shard_entries,
             "router": {"shards": list(self.router.shards)},
-            "pool": pool,
             "disk_cache": disk,
             "tune_store": tune,
         }
@@ -1049,95 +1016,20 @@ class JobServer:
             stat["autopilot"] = self.autopilot.describe()
         return stat
 
-    # --- the blocking unix-socket front ----------------------------------
-
-    def serve_forever(self, socket_path: str) -> None:
-        """Accept JSON-lines clients on ``socket_path`` until a ``stop``
-        request (or :meth:`close`).  Blocks; one thread per connection.
-        The asyncio front end (:mod:`repro.serve.frontend`) is the
-        scalable replacement; this one survives for compatibility."""
-        self.start()
-        try:
-            os.unlink(socket_path)
-        except FileNotFoundError:
-            pass
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.bind(socket_path)
-        sock.listen(16)
-        sock.settimeout(0.25)
-        self._sock = sock
-        try:
-            while not self._stop.is_set():
-                try:
-                    conn, _ = sock.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                threading.Thread(
-                    target=self._serve_client, args=(conn,), daemon=True,
-                ).start()
-        finally:
-            sock.close()
-            self._sock = None
-            try:
-                os.unlink(socket_path)
-            except OSError:
-                pass
-            self.close()
-
-    def _serve_client(self, conn: socket.socket) -> None:
-        with conn, conn.makefile("rw", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    response = self.handle_request(json.loads(line))
-                except Exception as exc:
-                    response = {"ok": False,
-                                "error": f"{type(exc).__name__}: {exc}"}
-                try:
-                    fh.write(json.dumps(_jsonable(response)) + "\n")
-                    fh.flush()
-                except (BrokenPipeError, OSError):
-                    return
-                if response.get("stopping"):
-                    return
+    # --- protocol --------------------------------------------------------
 
     def handle_request(self, req: Dict) -> Dict:
-        """One protocol request → one reply dict (shared by the blocking
-        and asyncio fronts; ``submit`` with ``wait`` blocks and belongs
-        on a worker thread in the async case)."""
+        """One non-blocking protocol request → one reply dict.  The
+        asyncio front end owns ``submit`` and ``drain`` (they wait on
+        jobs) and delegates every other command here."""
         cmd = req.get("cmd")
         if cmd == "ping":
             return {"ok": True, "pid": os.getpid(), "nranks": self.nranks,
                     "shards": len(self.shards)}
-        if cmd == "submit":
-            if "kind" not in req:
-                return UnknownJobKindError(None).reply()
-            try:
-                future = self.submit(
-                    req["kind"], req.get("spec"),
-                    priority=int(req.get("priority", 0)),
-                    tenant=req.get("tenant", DEFAULT_TENANT),
-                )
-            except UnknownJobKindError as exc:
-                return exc.reply()
-            except ShedError as shed:
-                return {"ok": False, "shed": True, "error": str(shed),
-                        **shed.details}
-            if not req.get("wait", True):
-                return {"ok": True, "queued": True}
-            record = future.result(timeout=req.get("timeout"))
-            return {"ok": bool(record.get("ok")), "job": record}
         if cmd == "stat":
             return {"ok": True, "stat": self.stat()}
         if cmd == "metrics":
             return {"ok": True, "metrics": self.fleet_registry().as_dict()}
-        if cmd == "drain":
-            done = self.drain(timeout=req.get("timeout"))
-            return {"ok": True, "jobs_done": done}
         if cmd == "scale":
             n = int(req["shards"])
             if n < 1:
@@ -1166,12 +1058,9 @@ class JobServer:
                 return {"ok": True, "family": family}
             return {"ok": False, "error": f"unknown autopilot op {op!r}"}
         if cmd == "stop":
-            self._stop.set()  # accept loop exits and closes everything
+            self._stop.set()  # the front end then closes the fleet
             return {"ok": True, "stopping": True}
         return {"ok": False, "error": f"unknown command {cmd!r}"}
-
-    # kept under the old name for anything that subclassed/patched it
-    _handle = handle_request
 
 
 # --- the client ------------------------------------------------------------

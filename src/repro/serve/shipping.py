@@ -17,9 +17,11 @@ functions that cannot be found by import path:
   through the same pickler (so a closure may capture another closure),
 * globals are **re-bound by module name** on the receiving side.  The
   worker was forked from the submitting process, so any module imported
-  before the pool started is present; a program defined in a module
-  imported *after* the fork raises a clear error instead of a silent
-  NameError at call time.
+  before the pool started is already present; one imported only *after*
+  the fork (a pool forks lazily on its first job, so a later job may come
+  from a module that job never touched) is imported in the worker by
+  name.  A module that cannot be imported there raises a clear error
+  instead of a silent NameError at call time.
 
 Importable functions (``module.qualname`` resolves back to the same
 object) still pickle by reference — cheap, and robust to code that was
@@ -30,6 +32,7 @@ versions (marshal would break) and it does not ship module source.
 
 from __future__ import annotations
 
+import importlib
 import io
 import marshal
 import pickle
@@ -83,11 +86,13 @@ def _make_skeleton(
         ) from exc
     mod = sys.modules.get(module)
     if mod is None:
-        raise ShippingError(
-            f"shipped function {qualname} needs module {module!r}, which is "
-            "not imported in the pool worker — create the pool after "
-            "importing the module that defines the program, or restart it"
-        )
+        try:
+            mod = importlib.import_module(module)
+        except ImportError as exc:
+            raise ShippingError(
+                f"shipped function {qualname} needs module {module!r}, "
+                f"which cannot be imported in the pool worker: {exc}"
+            ) from exc
     closure = tuple(types.CellType() for _ in range(ncells))
     fn = types.FunctionType(code, mod.__dict__, code.co_name, None, closure)
     fn.__qualname__ = qualname

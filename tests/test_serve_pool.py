@@ -282,6 +282,16 @@ class TestShipping:
         fn = shipping.loads(shipping.dumps(fib))
         assert fn(10) == 55
 
+    def test_unimportable_module_raises_shipping_error(self):
+        def kernel(x):
+            return x + 1
+
+        kernel.__module__ = "repro_no_such_module"
+        data = shipping.dumps(kernel)
+        with pytest.raises(shipping.ShippingError,
+                           match="repro_no_such_module.*cannot be imported"):
+            shipping.loads(data)
+
     def test_unpicklable_capture_raises_shipping_error(self):
         fh = open("/dev/null")
         try:

@@ -10,6 +10,9 @@ serving), stat/metrics shapes, and the JSON-lines socket round trip.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -18,6 +21,7 @@ import pytest
 from repro.errors import KaliError
 from repro.obs.registry import read_run_json
 from repro.serve.__main__ import main as serve_main
+from repro.serve.frontend import serve_async
 from repro.serve.queue import Job, JobFuture, JobQueue, QueueClosed
 from repro.serve.server import (
     JOB_KINDS,
@@ -115,6 +119,34 @@ class TestJobQueue:
 
 JACOBI = {"rows": 8, "cols": 8, "sweeps": 2, "seed": 7}
 
+SRC_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+FRESH_POOL_SCRIPT = '''
+import json, sys
+from repro.serve.server import JobServer
+
+late = ("repro.apps.cg", "repro.apps.jacobi", "repro.lang.interp")
+assert not [m for m in late if m in sys.modules], "imported too early"
+kali = """processors Procs : array[1..P] with P in 1..32;
+const n : integer := 16;
+var a : array[1..n] of real dist by [ block ] on Procs;
+forall i in 1..n on a[i].loc do
+    a[i] := 2.0 * i;
+end;
+"""
+jobs = [("dht_build", {"n": 40, "nbuckets": 7, "seed": 3}),
+        ("cg", {"rows": 6, "max_iter": 5}),
+        ("jacobi", {"rows": 6, "sweeps": 2}),
+        ("kali", {"source": kali})]
+with JobServer(2) as server:
+    records = [server.submit(kind, spec).result(timeout=120)
+               for kind, spec in jobs]
+    rebuilds = server.stat()["shards"][0]["rebuilds"]
+print(json.dumps({"errors": [r.get("error") for r in records if not r["ok"]],
+                  "rebuilds": rebuilds}))
+'''
+
 
 class TestJobServer:
     def test_submit_resolves_future_with_record(self, tmp_path):
@@ -194,8 +226,8 @@ class TestJobServer:
         assert stat["policy"] == "priority"
         assert stat["jobs_done"] == 2
         assert stat["queued"] == 0
-        assert stat["pool"]["jobs_done"] == 2
-        assert stat["pool"]["rebuilds"] == 0
+        assert stat["shards"][0]["pool_jobs_done"] == 2
+        assert stat["shards"][0]["rebuilds"] == 0
         assert stat["disk_cache"]["entries"] == 2
         assert stat["disk_cache"]["disk_stores"] == 2
 
@@ -234,6 +266,21 @@ class TestJobServer:
         with pytest.raises(KaliError):
             JobServer(2, max_batch=0)
 
+    def test_fresh_pool_ships_programs_from_modules_imported_later(self):
+        # A pool forks on its first job, so its workers lack every module
+        # the server imports afterwards.  Each later kind's rank program
+        # (repro.apps.cg, repro.apps.jacobi, repro.lang) must still ship
+        # on the first try, with no pool rebuild.  A fresh interpreter is
+        # needed: this one has imported those modules already.
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH_POOL_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=SRC_DIR),
+            capture_output=True, text=True, timeout=150,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outcome = json.loads(proc.stdout.splitlines()[-1])
+        assert outcome == {"errors": [], "rebuilds": 0}
+
 
 @pytest.fixture
 def live_server(tmp_path):
@@ -242,7 +289,7 @@ def live_server(tmp_path):
     server = JobServer(2, cache_dir=str(tmp_path / "cache"),
                        metrics_dir=str(tmp_path / "metrics"))
     thread = threading.Thread(
-        target=server.serve_forever, args=(socket_path,), daemon=True,
+        target=serve_async, args=(server, socket_path), daemon=True,
     )
     thread.start()
     client = ServeClient(socket_path, timeout=120)
