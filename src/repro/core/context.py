@@ -135,8 +135,9 @@ class KaliRank:
         n_arrays = max(1, len({r.array for r in loop.reads}))
         tag_base = self._tag_seq
         self._tag_seq = (self._tag_seq + n_arrays) % (1 << 18)
+        plan = self.cache.plan(loop, schedule, self.env)
         result = yield from run_executor(
-            self.rank, loop, self.env, schedule, tag_base,
+            self.rank, loop, self.env, plan, tag_base,
             combine_messages=self.combine_messages,
         )
         return result

@@ -23,6 +23,14 @@ through to disk; a disk hit is re-stamped with the current version
 counters and promoted into memory, so the fast path stays fast.  Stores
 write through.  Only inspector-built schedules persist: closed-form
 schedules cost nothing to rebuild.
+
+Next to each memory-tier schedule sits its compiled executor plan
+(:func:`~repro.runtime.executor.compile_plan`), built on the first
+execution and dropped whenever its schedule is replaced or invalidated,
+so it inherits the label and version keying above.  Plans never reach
+the disk tier and are never attached to the schedule object: the disk
+tier's memo shares one ``CommSchedule`` across jobs, and a plan pinned
+there would outlive the job that compiled it.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from typing import Dict, Optional
 
 from repro.arrays.localview import LocalArray
 from repro.core.forall import Forall
+from repro.runtime.executor import ExecPlan, compile_plan, plan_key
 from repro.runtime.schedule import CommSchedule
 
 
@@ -53,6 +62,8 @@ class ScheduleCache:
         self.disk = disk
         self.translation = translation
         self._store: Dict[str, CommSchedule] = {}
+        #: label -> compiled plan of the schedule stored under that label
+        self._plans: Dict[str, ExecPlan] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -127,7 +138,7 @@ class ScheduleCache:
                 self.hits += 1
                 return sched
             self.invalidations += 1
-            del self._store[forall.label]
+            self._drop(forall.label)
         else:
             self.misses += 1
         return self._disk_lookup(forall, env)
@@ -153,14 +164,37 @@ class ScheduleCache:
             name: env[name].dist_version
             for name in sched.dist_versions if name in env
         }
-        self._store[forall.label] = sched
+        self._put(forall.label, sched)
         return sched
+
+    def _put(self, label: str, schedule: CommSchedule) -> None:
+        self._plans.pop(label, None)
+        self._store[label] = schedule
+
+    def _drop(self, label: str) -> None:
+        self._plans.pop(label, None)
+        del self._store[label]
+
+    def plan(self, forall: Forall, schedule: CommSchedule,
+             env: Dict[str, LocalArray]) -> ExecPlan:
+        """The compiled executor plan of ``schedule`` for ``forall``.
+
+        Compiled on first use and kept while ``schedule`` is the stored
+        entry for the label and ``forall`` has the structure it was
+        compiled for; a schedule not in the store compiles every time."""
+        label = forall.label
+        if self._store.get(label) is not schedule:
+            return compile_plan(forall, schedule, env)
+        plan = self._plans.get(label)
+        if plan is None or plan.key != plan_key(forall):
+            plan = self._plans[label] = compile_plan(forall, schedule, env)
+        return plan
 
     def store(self, forall: Forall, schedule: CommSchedule) -> None:
         """Memory-only store (disk stores need the env for the content
         key — callers with a disk tier use :meth:`store_through`)."""
         if self.enabled:
-            self._store[forall.label] = schedule
+            self._put(forall.label, schedule)
 
     def store_through(self, forall: Forall, schedule: CommSchedule,
                       env: Dict[str, LocalArray]) -> None:
@@ -168,7 +202,7 @@ class ScheduleCache:
         inspector-built schedules under their content key."""
         if not self.enabled:
             return
-        self._store[forall.label] = schedule
+        self._put(forall.label, schedule)
         if self.disk is not None and schedule.built_by == "inspector":
             key = _content_key(forall, env, self.translation)
             if key is not None:
@@ -176,6 +210,7 @@ class ScheduleCache:
 
     def clear(self) -> None:
         self._store.clear()
+        self._plans.clear()
 
     def __len__(self) -> int:
         return len(self._store)

@@ -101,6 +101,25 @@ class TestAgainstOracle:
         expected[1:-1] = (init[:-2] + init[1:-1] + init[2:]) / 3.0
         np.testing.assert_allclose(out, expected)
 
+    def test_shifted_rows_of_2d_array(self, dist_name, dist_mk, p):
+        """B[i, *] := 2 * A[i+1, *] on ``[dist, *]`` (n, 4) arrays: remote
+        rows land in a 2-d operand."""
+        n = 19
+        init = np.arange(n * 4, dtype=np.float64).reshape(n, 4) ** 1.5
+        loop = Forall(
+            index_range=(0, n - 2),
+            on=OnOwner("B"),
+            reads=[AffineRead("A", Affine(1, 1), name="next")],
+            writes=[AffineWrite("B")],
+            kernel=lambda iters, ops: 2.0 * ops["next"],
+            label=f"rows2d-{dist_name}-{p}",
+        )
+        out = run_forall(n, p, dist_mk, [loop],
+                         {"A": init, "B": np.zeros((n, 4))})["B"]
+        expected = np.zeros((n, 4))
+        expected[:-1] = 2.0 * init[1:]
+        np.testing.assert_array_equal(out, expected)
+
     def test_reversal_read(self, dist_name, dist_mk, p):
         """B[i] := A[n-1-i] — a negative-stride affine subscript."""
         n = 17

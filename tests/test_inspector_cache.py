@@ -1,5 +1,8 @@
 """Tests for inspector behaviour, schedule caching, and cost charging."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,9 @@ from repro.core.forall import (
     OnOwner,
 )
 from repro.distributions import Block, Custom, Cyclic, Replicated
+from repro.errors import InspectorError
 from repro.machine.cost import IDEAL
+import repro.runtime.cache as cache_mod
 from repro.runtime.cache import ScheduleCache
 from repro.runtime.inspector import statically_local
 
@@ -141,6 +146,85 @@ class TestScheduleCaching:
         loop = permutation_loop(4, "unit")
         assert cache_disabled.lookup(loop, {}) is None
         assert cache_disabled.misses == 1
+
+
+@pytest.mark.timeout(60)
+class TestExecutorPlan:
+    """The executor compiles each cached schedule once; the schedule
+    checks run at compile time, the per-message size check on every
+    execution, and each fault is a structured InspectorError on sim (the
+    engine stops at the faulting rank), never a hang."""
+
+    def test_plan_compiled_once_per_schedule(self, monkeypatch):
+        n, p = 16, 4
+        perm = np.roll(np.arange(n), 1).astype(np.int64)
+        ctx = setup_ctx(n, p, perm)
+        loop = permutation_loop(n, "plan-once")
+        compiled = []
+        original = cache_mod.compile_plan
+
+        def counting(*args):
+            compiled.append(args[0].label)
+            return original(*args)
+
+        monkeypatch.setattr(cache_mod, "compile_plan", counting)
+
+        def program(kr):
+            for _ in range(5):
+                yield from kr.forall(loop)
+
+        ctx.run(program)
+        assert compiled == ["plan-once"] * p
+        np.testing.assert_array_equal(ctx.arrays["B"].data, np.arange(float(n))[perm])
+
+    @staticmethod
+    def _run_tampered(tamper):
+        """Run the permutation loop, replace each rank's cached schedule
+        by a tampered copy, and run it again."""
+        n, p = 16, 4
+        perm = np.roll(np.arange(n), 1).astype(np.int64)
+        ctx = setup_ctx(n, p, perm)
+        loop = permutation_loop(n, "tampered")
+
+        def program(kr):
+            yield from kr.forall(loop)
+            sched = copy.deepcopy(kr.cache.lookup(loop, kr.env))
+            tamper(kr.id, sched)
+            kr.cache.store(loop, sched)
+            yield from kr.forall(loop)
+
+        ctx.run(program)
+
+    def test_local_batch_resolving_remotely_is_stale(self):
+        def tamper(rank, sched):
+            sched.exec_local = np.sort(
+                np.concatenate([sched.exec_local, sched.exec_nonlocal])
+            )
+            sched.exec_nonlocal = sched.exec_nonlocal[:0]
+
+        with pytest.raises(InspectorError, match=r"stale schedule\?"):
+            self._run_tampered(tamper)
+
+    def test_received_block_size_mismatch(self):
+        def tamper(rank, sched):
+            if rank == 1:  # send one row too many to rank 2
+                a = sched.arrays["A"]
+                a.out_records = [dataclasses.replace(r, low=r.low - 1)
+                                 for r in a.out_records]
+
+        with pytest.raises(InspectorError,
+                           match="message from 1 for A carried 2 elements, "
+                                 "schedule expects 1"):
+            self._run_tampered(tamper)
+
+    def test_send_block_outside_local_rows(self):
+        def tamper(rank, sched):
+            a = sched.arrays["A"]
+            a.out_records = [dataclasses.replace(r, high=r.high + 4)
+                             for r in a.out_records]
+
+        with pytest.raises(InspectorError, match="outside the 4 local rows"):
+            self._run_tampered(tamper)
 
 
 class TestPlanner:

@@ -31,6 +31,7 @@ from tests.differential import (
 from repro.apps.cg import CGSolver, dense_matrix
 from repro.apps.jacobi import build_jacobi
 from repro.core.context import KaliContext
+from repro.distributions import BlockCyclic, Custom
 from repro.distributions.block import Block
 from repro.distributions.cyclic import Cyclic
 from repro.errors import (
@@ -303,18 +304,33 @@ class TestTraceAndObs:
 # --- differential acceptance ----------------------------------------------
 
 
+def _build_jacobi_case(mesh, init, backend, dist, translation="ranges",
+                       combine_messages=True):
+    prog = build_jacobi(mesh, NRANKS, machine=NCUBE7, dist=dist._clone(),
+                        initial=init.copy(), backend=backend,
+                        translation=translation)
+    prog.ctx.combine_messages = combine_messages
+    return prog
+
+
 class TestJacobiDifferential:
-    @pytest.mark.parametrize("dist", [Block(), Cyclic()],
-                             ids=["block", "cyclic"])
-    def test_jacobi_identical_across_backends(self, dist):
+    @pytest.mark.parametrize("dist,options", [
+        (Block(), {}),
+        (Cyclic(), {}),
+        (BlockCyclic(3), {}),
+        (Custom(np.random.default_rng(7).permutation(64) % NRANKS), {}),
+        # the A2 (enumerated translation) and A5 (uncombined messages)
+        # ablation paths
+        (Block(), {"translation": "enumerated", "combine_messages": False}),
+    ], ids=["block", "cyclic", "block_cyclic", "custom_scrambled",
+            "enumerated_uncombined"])
+    def test_jacobi_identical_across_backends(self, dist, options):
         mesh = five_point_grid(8, 8)
         init = np.random.default_rng(42).random(mesh.n)
 
         pair = run_differential(
-            lambda backend: build_jacobi(
-                mesh, NRANKS, machine=NCUBE7, dist=dist._clone(),
-                initial=init.copy(), backend=backend,
-            ),
+            lambda backend: _build_jacobi_case(mesh, init, backend, dist,
+                                               **options),
             lambda prog: prog.run(sweeps=5),
         )
         assert_arrays_identical(pair)

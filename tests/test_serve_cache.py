@@ -19,7 +19,9 @@ Four promises under test:
   messages — that is the whole point.)
 """
 
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -31,11 +33,13 @@ from tests.differential import (
 )
 from repro.apps.jacobi import build_jacobi
 from repro.meshes.regular import five_point_grid
+from repro.runtime.executor import ExecPlan
 from repro.runtime.schedule import CommSchedule
 from repro.serve.diskcache import (
     SCHEDCACHE_FORMAT,
     DiskScheduleCache,
     schedule_content_key,
+    shared_disk_cache,
 )
 from repro.serve.pool import RankPool
 
@@ -296,6 +300,47 @@ class TestTwoTierIntegration:
         res = prog.run(2)
         assert res.engine.counter_sum("schedule_cache_disk_hits") == 0
         assert res.engine.counter_sum("schedule_cache_disk_stores") == 0
+
+
+class TestPlanLifetime:
+    """Compiled executor plans live only in the per-run memory tier: they
+    die with their job and never reach the disk tier or the schedule
+    objects its process-wide memo shares across jobs."""
+
+    @staticmethod
+    def _assert_no_plan(sched):
+        assert isinstance(sched, CommSchedule)
+        assert not hasattr(sched, "plan")
+        assert not any(isinstance(v, ExecPlan) for v in vars(sched).values())
+
+    def test_many_jobs_through_one_cache_dir(self, tmp_path):
+        mesh = five_point_grid(10, 10)
+        init = np.random.default_rng(11).random(mesh.n)
+        uncached = build_jacobi(mesh, 4, initial=init, cache_enabled=False)
+        uncached.run(3)
+
+        for job in range(20):
+            prog = _build(tmp_path)
+            res = prog.run(3)
+            assert np.array_equal(prog.solution, uncached.solution)
+            if job:
+                assert res.engine.counter_sum("inspector_runs") == 0
+                assert res.engine.counter_sum("schedule_cache_disk_hits") == 4
+            loops = [weakref.ref(prog.copy_loop), weakref.ref(prog.relax_loop)]
+            del prog, res
+            gc.collect()
+            assert [ref() for ref in loops] == [None, None]
+
+        entries = DiskScheduleCache(tmp_path).entries()
+        assert len(entries) == 4
+        for path in entries:
+            with open(path, "rb") as fh:
+                self._assert_no_plan(pickle.load(fh)["schedule"])
+        for rank in range(4):
+            memo = shared_disk_cache(str(tmp_path), rank)._memo
+            assert memo
+            for _stamp, sched in memo.values():
+                self._assert_no_plan(sched)
 
 
 class TestServedDifferential:
