@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
+from repro.comm.collectives import alltoall
 from repro.errors import CommunicationError
 from repro.machine.api import Compute, Count, Rank, Recv, Send, payload_nbytes
 from repro.util.gray import is_power_of_two, log2_exact
@@ -100,3 +101,28 @@ def crystal_route(
             f"{[(d, s) for d, s, _ in pending]}"
         )
     return delivered
+
+
+def route(
+    rank: Rank,
+    outgoing: Dict[int, Any],
+    tag: int = 0,
+    phase: str = "crystal",
+    charge_combine: bool = True,
+):
+    """Deliver ``{dest: packet}`` (collective): the crystal router on a
+    power-of-two world, else the pairwise personalised all-to-all.
+
+    Returns ``{source: packet}`` for the packets addressed to this rank
+    (on the all-to-all path a ``None`` slot means nothing was sent).
+    """
+    if is_power_of_two(rank.size):
+        delivered = yield from crystal_route(
+            rank, outgoing, tag=tag, phase=phase,
+            charge_combine=charge_combine,
+        )
+        return delivered
+    payloads = [outgoing.get(q) for q in range(rank.size)]
+    arrived = yield from alltoall(rank, payloads, tag=tag, phase=phase)
+    return {src: packet for src, packet in enumerate(arrived)
+            if packet is not None}

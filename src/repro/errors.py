@@ -99,6 +99,20 @@ class DeadlockError(EngineError):
         super().__init__("\n".join(lines))
 
 
+class RankCrashError(EngineError):
+    """A rank process died (or stopped answering) out from under a job.
+
+    Raised instead of plain :class:`EngineError` when the failure is
+    *infrastructural* — a rank process exited without reporting, closed
+    its control pipe mid-job, failed after a peer process died, or missed
+    the warm pool's reset barrier — as opposed to the rank *program*
+    raising (which reports a traceback and is deterministic).  The
+    serving layer retries crashed jobs against its retry budget; program
+    errors it fails immediately, because re-running a deterministic
+    failure buys nothing.
+    """
+
+
 class CommunicationError(EngineError):
     """Malformed message operation (bad rank, negative size, tag misuse)."""
 

@@ -135,10 +135,10 @@ class SenderThread:
                 continue
             conn, buf = item
             try:
-                conn.send_bytes(buf)
+                if self._error is None:  # after a failure, frames drop
+                    conn.send_bytes(buf)
             except BaseException as exc:  # latch; the main thread raises
                 self._error = exc
-                return
             with self._lock:
                 self._queued[conn] -= 1
 

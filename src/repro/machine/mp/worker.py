@@ -1,8 +1,12 @@
-"""Child-process rank loop for the real-process backend.
+"""Child-process rank side of the real-process runtime.
 
-Interprets the same op stream the virtual-time engine does — ``Send``,
-``Recv``, ``Compute``, ``Now``, ``Count`` — but against OS pipes and the
-wall clock:
+Every forked rank builds one :class:`RankProcess` and runs jobs through
+its single job body, :meth:`RankProcess.run_job`.  Two entry points call
+it: :func:`worker_main` (one job per process, for ``MpEngine``) and the
+warm pool's command loop (:func:`repro.serve.pool._pool_worker_main`).
+The body's op loop, :func:`_interpret`, interprets the same op stream
+the virtual-time engine does — ``Send``, ``Recv``, ``Compute``, ``Now``,
+``Count`` — but against OS pipes and the wall clock:
 
 * ``Send`` pickles a frame to the pairwise pipe (eager-buffered, never
   blocks the rank program) and counts messages/bytes exactly as the
@@ -65,6 +69,9 @@ ST_DONE = 2
 
 _TRACE_FLUSH = 512
 
+#: runaway-program bound: ops one rank may yield in one job
+MAX_OPS = 500_000_000
+
 
 class _Inbox:
     """Per-(source, tag) FIFO buffers over the pairwise pipes."""
@@ -101,25 +108,25 @@ class _Inbox:
     def drain_one(self, src: int, timeout: Optional[float], now_fn) -> bool:
         """Block until one frame from ``src`` is drained (True) or the
         timeout expires (False).  A dead peer can never satisfy the
-        receive, so it raises instead of hanging forever."""
+        receive: a timed receive times out at once (as on the
+        simulator), an untimed one raises instead of hanging forever."""
         conn = self.conns[src]
-        if conn is None:
-            raise CommunicationError(
-                f"receive from rank {src} can never complete: the peer "
-                "process has exited"
-            )
-        if timeout is not None and not conn.poll(timeout):
+        if conn is not None:
+            if timeout is not None and not conn.poll(timeout):
+                return False
+            try:
+                frame = conn.recv()
+            except EOFError:
+                self._mark_dead(src)
+            else:
+                self._buffer(src, frame, now_fn())
+                return True
+        if timeout is not None:
             return False
-        try:
-            frame = conn.recv()
-        except EOFError:
-            self._mark_dead(src)
-            raise CommunicationError(
-                f"receive from rank {src} can never complete: the peer "
-                "process has exited"
-            ) from None
-        self._buffer(src, frame, now_fn())
-        return True
+        raise CommunicationError(
+            f"receive from rank {src} can never complete: the peer "
+            "process has exited"
+        )
 
     def drain_ready(self, now_fn) -> None:
         """Drain every frame currently readable on any pipe (no blocking).
@@ -137,10 +144,13 @@ class _Inbox:
 
     def wait_any(self, deadline: Optional[float], now_fn) -> bool:
         """Block until any pipe is readable; False on deadline expiry.
-        Raises once every peer is gone (nothing can ever arrive)."""
+        Once every peer is gone nothing can ever arrive: False at once
+        with a deadline, else raise."""
         while True:
             live = [c for c in self.conns if c is not None]
             if not live:
+                if deadline is not None:
+                    return False
                 raise CommunicationError(
                     "wildcard receive can never complete: every peer "
                     "process has exited"
@@ -197,108 +207,140 @@ class _Inbox:
         return discarded
 
 
-def worker_main(
-    rank_id: int,
-    nranks: int,
-    program,
-    arg: Any,
-    machine,
-    topology,
-    mesh,
-    ctrl,
-    parent_ctrls,
-    shared_state,
-    t0: float,
-    trace: bool,
-    max_ops: int,
-    dataplane=None,
-) -> None:
-    """Entry point of one forked rank process.  Never returns normally:
-    reports ``("finish", ...)`` or ``("error", ...)`` on the control pipe
-    and exits.
+class RankProcess:
+    """What one forked rank process owns, job after job: its row of the
+    pipe mesh, its control pipe, a :class:`SenderThread`, an
+    :class:`_Inbox`, its status-board slot and (optionally) its
+    attachment to the inherited :class:`~repro.machine.shm.ShmDataPlane`.
 
-    ``dataplane`` is an optional :class:`repro.machine.shm.ShmDataPlane`
-    inherited from the parent; when present, bulk payloads travel as
-    shared-memory blocks and pipes carry only control frames."""
-    close_mesh_except(mesh, rank_id)
-    for r, pc in enumerate(parent_ctrls):
-        if r != rank_id:
-            pc.close()
-    if dataplane is not None:
-        dataplane.attach(rank_id)
+    Built first thing in the child: it closes every inherited mesh and
+    control end that belongs to another rank, which is what makes a dead
+    peer observable as EOF instead of a hang.
+    """
 
-    def now() -> float:
-        return time.monotonic() - t0
-
-    def set_state(status: int, src: int = -2, tag: int = -2) -> None:
-        base = 3 * rank_id
-        shared_state[base] = status
-        shared_state[base + 1] = src
-        shared_state[base + 2] = tag
-
-    stats = RankStats(rank_id)
-    trace_buf: List[TraceEvent] = []
-    sender = SenderThread()
-    inbox = _Inbox(mesh[rank_id])
-
-    def flush_trace(force: bool = False) -> None:
-        if trace and trace_buf and (force or len(trace_buf) >= _TRACE_FLUSH):
-            ctrl.send(("trace", list(trace_buf)))
-            trace_buf.clear()
-
-    try:
-        set_state(ST_RUNNING)
-        rank = Rank(rank_id, nranks, machine, topology, arg)
-        gen = program(rank)
-        if not hasattr(gen, "send"):
-            raise EngineError(
-                "rank program must be a generator function (did you forget "
-                "to 'yield'?)"
-            )
-        value = _interpret(
-            rank_id, nranks, gen, stats, trace_buf if trace else None,
-            sender, inbox, mesh[rank_id], now, set_state, max_ops,
-            flush_trace, dataplane=dataplane,
-        )
+    def __init__(self, rank_id, nranks, mesh, ctrls, shared_state,
+                 dataplane=None):
+        close_mesh_except(mesh, rank_id)
+        for r, c in enumerate(ctrls):
+            if r != rank_id:
+                c.close()
         if dataplane is not None:
-            # Gathered results ride the data plane too: the parent (the
-            # plane's extra party) decodes the refs out of the finish
-            # record.  Counted before the stats object is shipped.
-            value, vbytes, vblocks, vfall = dataplane.encode(
-                value, (dataplane.parent_party,))
-            if vbytes:
-                stats.count("shm_bytes_sent", vbytes)
-                stats.count("shm_blocks_sent", vblocks)
-            if vfall:
-                stats.count("shm_fallbacks", vfall)
-            stats.counters["shm_hwm_bytes"] = dataplane.hwm_bytes
-        sender.flush_and_stop()
-        # Anything still buffered (or readable) was sent but never
-        # received — the simulator's "undelivered_messages" accounting,
-        # best-effort: frames still in flight from a straggling peer are
-        # missed (documented relaxation).
-        inbox.drain_ready(now)
-        left = inbox.leftover()
-        if left:
-            stats.count("undelivered_messages", left)
-        set_state(ST_DONE)
-        flush_trace(force=True)
-        ctrl.send(("finish", now(), value, stats))
-        ctrl.close()
-    except BaseException:
-        set_state(ST_DONE)
+            dataplane.attach(rank_id)
+        self.rank_id = rank_id
+        self.nranks = nranks
+        self.conns = mesh[rank_id]
+        self.ctrl = ctrls[rank_id]
+        self.shared_state = shared_state
+        self.dataplane = dataplane
+        self.sender = SenderThread()
+        self.inbox = _Inbox(self.conns)
+
+    def set_state(self, status: int, src: int = -2, tag: int = -2) -> None:
+        base = 3 * self.rank_id
+        self.shared_state[base] = status
+        self.shared_state[base + 1] = src
+        self.shared_state[base + 2] = tag
+
+    def run_job(self, program, arg, machine, topology, t0: float,
+                trace: bool, count_leftover: bool) -> bool:
+        """Run one job on this rank and report it on the control pipe:
+        ``("finish", clock, value, stats)`` or ``("error", clock,
+        traceback, stats)``.  Returns False only when not even the error
+        report could be sent (the parent is gone).
+
+        ``count_leftover`` drains whatever is readable after the job and
+        books it as ``undelivered_messages`` — the fork-per-run
+        accounting, best-effort: frames still in flight from a straggling
+        peer are missed (documented relaxation).  The warm pool counts
+        exactly at its reset barrier instead.
+        """
+        rank_id, ctrl, dataplane = self.rank_id, self.ctrl, self.dataplane
+
+        def now() -> float:
+            return time.monotonic() - t0
+
+        stats = RankStats(rank_id)
+        trace_buf: List[TraceEvent] = []
+
+        def flush_trace(force: bool = False) -> None:
+            if trace and trace_buf and (force or len(trace_buf) >= _TRACE_FLUSH):
+                ctrl.send(("trace", list(trace_buf)))
+                trace_buf.clear()
+
         try:
+            self.set_state(ST_RUNNING)
+            gen = program(Rank(rank_id, self.nranks, machine, topology, arg))
+            if not hasattr(gen, "send"):
+                raise EngineError(
+                    "rank program must be a generator function (did you "
+                    "forget to 'yield'?)"
+                )
+            value = _interpret(
+                rank_id, self.nranks, gen, stats,
+                trace_buf if trace else None, self.sender, self.inbox,
+                self.conns, now, self.set_state, flush_trace,
+                dataplane=dataplane,
+            )
+            if dataplane is not None:
+                # Gathered results ride the data plane too: the parent (the
+                # plane's extra party) decodes the refs out of the finish
+                # record.  Counted before the stats object is shipped.
+                value, vbytes, vblocks, vfall = dataplane.encode(
+                    value, (dataplane.parent_party,))
+                if vbytes:
+                    stats.count("shm_bytes_sent", vbytes)
+                    stats.count("shm_blocks_sent", vblocks)
+                if vfall:
+                    stats.count("shm_fallbacks", vfall)
+                stats.counters["shm_hwm_bytes"] = dataplane.hwm_bytes
+            # Everything this job queued is on the wire before we report:
+            # the warm pool's peers drain their pipes at the reset barrier,
+            # which only starts after every rank reported.
+            self.sender.flush()
+            if count_leftover:
+                self.inbox.drain_ready(now)
+                left = self.inbox.leftover()
+                if left:
+                    stats.count("undelivered_messages", left)
+            self.set_state(ST_DONE)
             flush_trace(force=True)
-            ctrl.send(("error", now(), traceback.format_exc(), stats))
-            ctrl.close()
+            ctrl.send(("finish", now(), value, stats))
+        except Exception:
+            self.set_state(ST_DONE)
+            try:
+                flush_trace(force=True)
+                ctrl.send(("error", now(), traceback.format_exc(), stats))
+            except Exception:
+                return False
+        return True
+
+    def close(self) -> None:
+        """Stop the sender (deterministic teardown: no sender thread
+        outlives the process's last report) and close every pipe end."""
+        try:
+            self.sender.flush_and_stop(timeout=5.0)
         except Exception:
             pass
-        try:  # deterministic teardown: no sender thread outlives the report
-            sender.flush_and_stop(timeout=5.0)
-        except Exception:
-            pass
-        raise SystemExit(1)
-    raise SystemExit(0)
+        for c in [*self.conns, self.ctrl]:
+            if c is not None:
+                try:
+                    c.close()
+                except OSError:
+                    pass
+
+
+def worker_main(rank_id, nranks, mesh, ctrls, shared_state, dataplane,
+                program, args, machine, topology, t0: float,
+                trace: bool) -> None:
+    """Entry point of one fork-per-run rank process: run the one job the
+    program was forked with, report it, drain leftovers, and exit — so a
+    peer's exact receive from this rank fails fast afterwards."""
+    proc = RankProcess(rank_id, nranks, mesh, ctrls, shared_state, dataplane)
+    try:
+        proc.run_job(program, args[rank_id] if args is not None else None,
+                     machine, topology, t0, trace, count_leftover=True)
+    finally:
+        proc.close()
 
 
 def _interpret(
@@ -312,7 +354,6 @@ def _interpret(
     conns: List[Optional[Any]],
     now,
     set_state,
-    max_ops: int,
     flush_trace,
     dataplane=None,
 ) -> Any:
@@ -341,9 +382,9 @@ def _interpret(
             return stop.value
         resume = None
         ops += 1
-        if ops > max_ops:
+        if ops > MAX_OPS:
             raise EngineError(
-                f"exceeded max_ops={max_ops}; runaway rank program?"
+                f"exceeded max_ops={MAX_OPS}; runaway rank program?"
             )
         sender.check()
         op_start = now()

@@ -26,8 +26,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.arrays.localview import LocalArray
-from repro.comm.collectives import alltoall
-from repro.comm.crystal import crystal_route
+from repro.comm.crystal import route
 from repro.core.forall import (
     Affine,
     AffineRead,
@@ -39,7 +38,6 @@ from repro.core.forall import (
 from repro.errors import InspectorError
 from repro.machine.api import Compute, Count, Rank
 from repro.runtime.schedule import ArraySchedule, CommSchedule, RangeRecord, coalesce_ranges
-from repro.util.gray import is_power_of_two
 
 PHASE = "inspector"
 
@@ -293,14 +291,7 @@ def run_inspector(rank: Rank, forall: Forall, env: Dict[str, LocalArray]):
             )
 
     # Global transpose: ship each in-range request to its home processor.
-    if is_power_of_two(rank.size):
-        replies = yield from crystal_route(
-            rank, request_payload, phase=PHASE, charge_combine=True
-        )
-    else:
-        outbound = [request_payload.get(q, None) for q in range(rank.size)]
-        gathered = yield from alltoall(rank, outbound, phase=PHASE)
-        replies = {q: req for q, req in enumerate(gathered) if req}
+    replies = yield from route(rank, request_payload, phase=PHASE)
 
     # out(p,q) = requests received from q, sorted by (q, low) per Figure 5.
     out_by_array: Dict[str, List[RangeRecord]] = {name: [] for name in schedule.arrays}

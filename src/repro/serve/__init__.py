@@ -37,7 +37,6 @@ _EXPORTS = {
     "JobFuture": ("repro.serve.queue", "JobFuture"),
     "ShedError": ("repro.serve.queue", "ShedError"),
     "QueueClosed": ("repro.serve.queue", "QueueClosed"),
-    "PoolCrashError": ("repro.serve.pool", "PoolCrashError"),
     "ShardRouter": ("repro.serve.router", "ShardRouter"),
     "route_key": ("repro.serve.router", "route_key"),
     "JobServer": ("repro.serve.server", "JobServer"),

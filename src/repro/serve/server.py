@@ -22,7 +22,7 @@ Serving-layer failure semantics (see docs/serving.md):
 
 * a rank *program* error fails the job immediately — deterministic
   failures are not retried;
-* a pool *crash* (:class:`~repro.serve.pool.PoolCrashError`: a worker
+* a pool *crash* (:class:`~repro.errors.RankCrashError`: a worker
   died, went mute, or missed the reset barrier) condemns that shard's
   mesh and re-dispatches the job — onto a *surviving* shard when the
   fleet has one — against a per-job ``retry_budget``; budget exhausted
@@ -51,11 +51,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import KaliError
+from repro.errors import KaliError, RankCrashError
 from repro.machine.cost import MachineModel, NCUBE7
 from repro.machine.stats import RunResult
 from repro.obs.registry import MetricsRegistry, write_run_json
-from repro.serve.pool import PoolCrashError, RankPool
+from repro.serve.pool import RankPool
 from repro.serve.queue import (
     DEFAULT_TENANT,
     Job,
@@ -391,7 +391,7 @@ class Shard:
             try:
                 record = self._execute(job, batch_size=len(batch),
                                        batch_index=i)
-            except PoolCrashError as crash:
+            except RankCrashError as crash:
                 # The mesh is condemned.  This job retries against its
                 # budget; the rest of the batch never started, so it
                 # replays without consuming any budget.  Both paths
@@ -412,7 +412,7 @@ class Shard:
                 return
             server._finish(job, record)
 
-    def _crash_record(self, job: Job, crash: PoolCrashError,
+    def _crash_record(self, job: Job, crash: RankCrashError,
                       batch_size: int, batch_index: int) -> Dict:
         # Counter accounting happens in server._finish, the single
         # terminal point, under the server lock (stat-sum invariant).
@@ -450,7 +450,7 @@ class Shard:
         }
         try:
             result, summary = runner(self, job.spec)
-        except PoolCrashError:
+        except RankCrashError:
             raise  # infrastructure death: the batch loop handles retry
         except Exception as exc:
             record.update(

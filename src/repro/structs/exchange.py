@@ -3,10 +3,10 @@
 Every batched op in :mod:`repro.structs` moves data in exactly two
 collective hops — requests to owners, replies to requesters — and each
 hop is **one** combining exchange: a rank sends at most one (merged)
-message per stage regardless of how many keys it is routing.  On
-power-of-two worlds that is Fox's crystal router
-(:func:`repro.comm.crystal.crystal_route`, ``log2 P`` stages); elsewhere
-it falls back to the pairwise personalised all-to-all.
+message per stage regardless of how many keys it is routing
+(:func:`repro.comm.crystal.route`: on power-of-two worlds Fox's crystal
+router, ``log2 P`` stages; elsewhere the pairwise personalised
+all-to-all).
 
 The crystal router's ``combine_stage`` software charge models the
 paper's *inspector* list-merging, which is far heavier than appending
@@ -25,10 +25,8 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.comm.collectives import alltoall
-from repro.comm.crystal import crystal_route
+from repro.comm.crystal import route
 from repro.machine.api import Count, Rank
-from repro.util.gray import is_power_of_two
 
 
 def combining_route(rank: Rank, outgoing: Dict[int, Any], tag: int,
@@ -40,17 +38,9 @@ def combining_route(rank: Rank, outgoing: Dict[int, Any], tag: int,
     hand out a fresh tag per hop).
     """
     yield Count("structs_exchanges", 1)
-    if is_power_of_two(rank.size):
-        delivered = yield from crystal_route(
-            rank, outgoing, tag=tag, phase=phase, charge_combine=False,
-        )
-        return delivered
-    payloads: list = [None] * rank.size
-    for dest, packet in outgoing.items():
-        payloads[dest] = packet
-    arrived = yield from alltoall(rank, payloads, tag=tag, phase=phase)
-    return {src: packet for src, packet in enumerate(arrived)
-            if packet is not None}
+    delivered = yield from route(rank, outgoing, tag=tag, phase=phase,
+                                 charge_combine=False)
+    return delivered
 
 
 def element_route(rank: Rank, outgoing_items, rounds: int, tag: int,
@@ -72,17 +62,8 @@ def element_route(rank: Rank, outgoing_items, rounds: int, tag: int,
             dest, packet = outgoing_items[i]
             single[dest] = packet
         yield Count("structs_exchanges", 1)
-        if is_power_of_two(rank.size):
-            got = yield from crystal_route(
-                rank, single, tag=tag + i, phase=phase, charge_combine=False,
-            )
-        else:
-            payloads: list = [None] * rank.size
-            for dest, packet in single.items():
-                payloads[dest] = packet
-            arrived = yield from alltoall(rank, payloads, tag=tag + i,
-                                          phase=phase)
-            got = {src: p for src, p in enumerate(arrived) if p is not None}
+        got = yield from route(rank, single, tag=tag + i, phase=phase,
+                               charge_combine=False)
         for src, packet in got.items():
             delivered.setdefault(src, []).append(packet)
     return delivered

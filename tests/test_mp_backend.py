@@ -17,6 +17,7 @@ when pytest-timeout is installed.)
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -39,14 +40,16 @@ from repro.errors import (
     DeadlockError,
     EngineError,
     KaliError,
+    RankCrashError,
 )
 from repro.lang import compile_kali
 from repro.machine.api import ANY_SOURCE, ANY_TAG, Compute, Count, Now, Recv, Send
 from repro.machine.cost import IDEAL, NCUBE7
 from repro.machine.engine import Engine
-from repro.machine.mp import MpEngine, run_spmd_mp
+from repro.machine.mp import MpEngine
 from repro.machine.topology import FullyConnected
 from repro.meshes.regular import five_point_grid, reference_sweep
+from repro.serve.pool import RankPool
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -164,12 +167,49 @@ class TestOpProtocol:
             yield Compute(0.0)
             return rank.arg * 2
 
-        res = run_spmd_mp(prog, 3, IDEAL, args=[10, 20, 30], timeout=60.0)
+        engine = MpEngine(IDEAL, nranks=3, timeout=60.0)
+        res = engine.run(prog, args=[10, 20, 30])
         assert res.values == [20, 40, 60]
 
 
+@pytest.fixture(params=["mp", "pool"])
+def runner(request):
+    """``make(n, timeout)`` builds a runner of world size ``n``: a fresh
+    ``MpEngine``, or a ``RankPool`` of the same size (closed at teardown).
+    Both sit on the one rank mesh, supervisor and job body."""
+    pools = []
+
+    def make(n, timeout=60.0):
+        if request.param == "mp":
+            return mp_engine(n, timeout=timeout)
+        pools.append(RankPool(n, timeout=timeout))
+        return pools[-1]
+
+    yield make
+    for pool in pools:
+        pool.close()
+
+
+def run_on(runner, prog):
+    if isinstance(runner, RankPool):
+        return runner.run(prog, IDEAL)
+    return runner.run(prog)
+
+
+def exit_mid_job(rank):
+    yield Compute(0.0)
+    if rank.id == 1:
+        os._exit(3)
+    return rank.id
+
+
+def report_rank(rank):
+    yield Compute(0.0)
+    return rank.id
+
+
 class TestFailureModes:
-    def test_child_exception_propagates_with_traceback(self):
+    def test_child_exception_propagates_with_traceback(self, runner):
         def prog(rank):
             yield Compute(0.0)
             if rank.id == 1:
@@ -177,38 +217,56 @@ class TestFailureModes:
             yield Recv(source=1, tag=0, timeout=30.0)
 
         with pytest.raises(EngineError, match="rank 1 exploded"):
-            mp_engine(2).run(prog)
+            run_on(runner(2), prog)
 
-    def test_watchdog_raises_deadlock_with_blocked_info(self):
+    def test_watchdog_raises_deadlock_with_blocked_info(self, runner):
         def prog(rank):
             m = yield Recv(source=(rank.id + 1) % rank.size, tag=7)
             return m
 
         with pytest.raises(DeadlockError) as exc:
-            mp_engine(2, timeout=2.0).run(prog)
+            run_on(runner(2, timeout=2.0), prog)
         assert sorted(exc.value.blocked) == [0, 1]
         assert all(w.tag == 7 for w in exc.value.blocked.values())
 
-    def test_self_send_rejected_like_sim(self):
+    def test_self_send_rejected_like_sim(self, runner):
         def prog(rank):
             yield Send(rank.id, 1.0, tag=0)
 
         with pytest.raises(CommunicationError, match="cannot send to itself"):
             sim_engine(2).run(prog)
         with pytest.raises(EngineError, match="cannot send to itself"):
-            mp_engine(2).run(prog)
+            run_on(runner(2), prog)
 
-    def test_bad_dest_rejected_like_sim(self):
+    def test_bad_dest_rejected_like_sim(self, runner):
         def prog(rank):
             yield Send(99, 1.0, tag=0)
 
         with pytest.raises(CommunicationError, match="outside world"):
             sim_engine(2).run(prog)
         with pytest.raises(EngineError, match="outside world"):
-            mp_engine(2).run(prog)
+            run_on(runner(2), prog)
+
+    def test_rank_exit_mid_job_is_a_crash(self, runner):
+        """A rank process that dies without reporting is infrastructure,
+        not a program error: both runners raise ``RankCrashError`` naming
+        the rank and its exit code, and the pool's next job runs on a
+        rebuilt mesh."""
+        run = runner(2)
+        with pytest.raises(RankCrashError,
+                           match=r"rank 1 died without reporting \(exit code 3\)"):
+            run_on(run, exit_mid_job)
+        if isinstance(run, RankPool):
+            res = run_on(run, report_rank)
+            assert res.values == [0, 1]
+            assert run.rebuilds == 1
 
     def test_exact_recv_from_finished_peer_fails_fast(self):
-        """A receive that provably can't complete raises, not hangs."""
+        """A receive that provably can't complete raises, not hangs.
+
+        ``MpEngine`` only: fork-per-run workers exit after their job, but
+        warm-pool peers stay alive between jobs by design, so on a pool
+        the same receive is a watchdog deadlock instead."""
         def prog(rank):
             yield Compute(0.0)
             if rank.id == 0:

@@ -13,7 +13,7 @@ how far into the job the SIGTERM lands.  The kill *timing* still races
 the job's actual execution — that is the point — but every race outcome
 is inside the contract:
 
-* kill lands mid-job → the pool raises ``PoolCrashError``, the job
+* kill lands mid-job → the pool raises ``RankCrashError``, the job
   replays (onto the other shard when one survives) against its retry
   budget;
 * kill lands between jobs → the pool's health check rebuilds the mesh
@@ -105,7 +105,8 @@ class ChaosMonkey:
             time.sleep(delay)
             # The mesh may be torn down concurrently (another kill
             # already condemned it) — snapshot defensively.
-            procs = list(pool._procs or ())
+            mesh = pool._mesh
+            procs = list(mesh.procs) if mesh is not None else []
             try:
                 if rank < len(procs) and procs[rank].is_alive():
                     procs[rank].terminate()
@@ -178,11 +179,11 @@ def test_retry_exhaustion_is_structured():
     """A job that crashes more times than its budget fails loudly, with
     the structured fields the protocol promises, and counts as exactly
     one terminal record."""
-    from repro.serve.pool import PoolCrashError
+    from repro.errors import RankCrashError
     from repro.serve.server import JOB_KINDS, register_job_kind
 
     def always_crashes(shard, spec):
-        raise PoolCrashError("injected: the mesh is gone")
+        raise RankCrashError("injected: the mesh is gone")
 
     register_job_kind("_chaos_doomed", always_crashes)
     try:
@@ -195,7 +196,7 @@ def test_retry_exhaustion_is_structured():
     assert record["ok"] is False
     assert record["retry_exhausted"] is True
     assert record["retries"] == 2
-    assert "PoolCrashError" in record["error"]
+    assert "RankCrashError" in record["error"]
     assert stat["failures"] == 1
     assert stat["jobs_done"] == 0
     assert len(stat["queue_snapshot"]) == 0

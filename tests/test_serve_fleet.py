@@ -12,10 +12,9 @@ import time
 
 import pytest
 
-from repro.errors import KaliError
+from repro.errors import KaliError, RankCrashError
 from repro.obs.registry import MetricsRegistry
 from repro.serve.autoscale import AutoscalePolicy, Autoscaler
-from repro.serve.pool import PoolCrashError
 from repro.serve.queue import Job, JobQueue, ShedError
 from repro.serve.server import JOB_KINDS, JobServer, register_job_kind
 
@@ -285,7 +284,7 @@ def test_crash_retry_prefers_the_other_shard():
     def flaky(shard, spec):
         attempts.append(shard.name)
         if len(attempts) == 1:
-            raise PoolCrashError("injected")
+            raise RankCrashError("injected")
         return JOB_KINDS["jacobi"](shard, {"rows": 8, "sweeps": 1})
 
     register_job_kind("_fleet_flaky", flaky)
@@ -305,7 +304,7 @@ def test_condemned_batch_survivors_replay_without_spending_budget():
     def first_crashes(shard, spec):
         ran.append(spec["i"])
         if spec["i"] == 0 and ran.count(0) == 1:
-            raise PoolCrashError("injected")
+            raise RankCrashError("injected")
         return JOB_KINDS["jacobi"](shard, {"rows": 8, "sweeps": 1})
 
     register_job_kind("_fleet_batchy", first_crashes)

@@ -131,8 +131,8 @@ class TestPoolSemantics:
             assert not report["rebuilt"]
             # kill a rank behind the pool's back: health check notices
             # and rebuilds the mesh
-            pool._procs[1].terminate()
-            pool._procs[1].join(5.0)
+            pool._mesh.procs[1].terminate()
+            pool._mesh.procs[1].join(5.0)
             report = pool.check_health()
             assert report["healthy"] is False
             assert report["alive"] == [0]
