@@ -3,8 +3,9 @@
 
 Streams fixed-size NumPy payloads between two real OS processes twice —
 once over the plain pickled-frame pipe transport, once with the
-shared-memory data plane (`repro.machine.shm`) hoisting the payload into
-a shared segment while the pipe carries only a tiny ShmRef — and prints
+shared-memory data plane (`repro.machine.shm`) hoisting the payload's
+buffer into a shared segment while the pipe carries only the protocol-5
+pickle header and a tiny ShmRef — and prints
 payload throughput for each size.
 
 The shape of the result (one 1-CPU container; yours will differ in
@@ -67,7 +68,7 @@ def measure(nbytes: int, repeats: int, shm: bool, best_of: int = 3) -> float:
     best = float("inf")
     for _ in range(best_of):
         eng = MpEngine(IDEAL, topology=FullyConnected(2), timeout=120.0,
-                       shm=shm, shm_threshold=2048)
+                       shm=shm)
         res = eng.run(stream_program(payload, repeats))
         best = min(best, res.values[0])
     return (payload.nbytes * repeats) / best / 1e6

@@ -99,8 +99,6 @@ class CGSolver:
         pool=None,
         schedule_cache_dir: Optional[str] = None,
         tune=None,
-        shm: Optional[bool] = None,
-        shm_threshold: Optional[int] = None,
     ):
         self.mesh = mesh
         n = mesh.n
@@ -111,7 +109,7 @@ class CGSolver:
         ctx = KaliContext(nprocs, machine=machine, faults=faults, trace=trace,
                           backend=backend, mp_timeout=mp_timeout,
                           pool=pool, schedule_cache_dir=schedule_cache_dir,
-                          tune=tune, shm=shm, shm_threshold=shm_threshold)
+                          tune=tune)
         self.ctx = ctx
         for name in ("x", "r", "p", "q", "b"):
             ctx.array(name, n, dist=[dist._clone()])

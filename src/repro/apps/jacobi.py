@@ -115,8 +115,6 @@ def build_jacobi(
     pool=None,
     schedule_cache_dir: Optional[str] = None,
     tune=None,
-    shm: Optional[bool] = None,
-    shm_threshold: Optional[int] = None,
 ) -> JacobiProgram:
     """Declare the Figure 4 arrays and foralls on a fresh context.
 
@@ -139,8 +137,6 @@ def build_jacobi(
         pool=pool,
         schedule_cache_dir=schedule_cache_dir,
         tune=tune,
-        shm=shm,
-        shm_threshold=shm_threshold,
     )
     n, width = mesh.n, mesh.width
 

@@ -802,8 +802,7 @@ def shm_dataplane(
     sim_prog = build_jacobi(mesh, 4, machine=machine, initial=initial.copy())
     sim_prog.run(sweeps=sweeps)
     mp_prog = build_jacobi(mesh, 4, machine=machine, initial=initial.copy(),
-                           backend="mp", mp_timeout=mp_timeout, shm=True,
-                           trace=True)
+                           backend="mp", mp_timeout=mp_timeout, trace=True)
     mp_res = mp_prog.run(sweeps=sweeps)
     identical = bool(np.array_equal(sim_prog.solution, mp_prog.solution))
     matrix = CommMatrix.from_trace(mp_res.engine.trace, nranks=4)

@@ -205,11 +205,6 @@ class _RankOutcome:
     home.  Both backends go through it, keeping the driver path identical.
     """
 
-    #: shm hoist protocol: on the mp backend the gathered result arrays
-    #: (each rank's whole env) ride the shared-memory data plane home
-    #: instead of being pickled through the control pipe.
-    __shm_fields__ = ("value", "env")
-
     value: Any
     env: Dict[str, LocalArray]
     cache_hits: int = 0
@@ -321,8 +316,6 @@ class KaliContext:
         schedule_cache_dir: Optional[str] = None,
         disk_cache_bytes: int = 256 * 1024 * 1024,
         tune=None,
-        shm: Optional[bool] = None,
-        shm_threshold: Optional[int] = None,
     ):
         self.procs = procs or ProcessorArray(nprocs)
         if self.procs.size != nprocs:
@@ -347,11 +340,6 @@ class KaliContext:
             )
         self.backend = backend
         self.mp_timeout = mp_timeout
-        #: shared-memory data plane (mp backend only, docs/dataplane.md):
-        #: None = on unless REPRO_SHM=0.  A pooled context uses the
-        #: *pool's* plane — the pool forked before this context existed.
-        self.shm = shm
-        self.shm_threshold = shm_threshold
         #: optional :class:`repro.serve.RankPool` — run on warm rank
         #: processes instead of forking a fresh mesh per run
         self.pool = pool
@@ -525,8 +513,7 @@ class KaliContext:
 
             engine = MpEngine(self.machine, topology=self.topology,
                               nranks=self.procs.size, trace=self.trace,
-                              timeout=self.mp_timeout, shm=self.shm,
-                              shm_threshold=self.shm_threshold)
+                              timeout=self.mp_timeout)
             engine_result = engine.run(rank_main)
         outcomes: List[_RankOutcome] = list(engine_result.values)
 

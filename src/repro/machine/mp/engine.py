@@ -74,8 +74,9 @@ class RankMesh:
     """``nranks`` forked rank processes wired for one or many jobs.
 
     ``target(rank_id, nranks, mesh, ctrls, shared_state, dataplane,
-    *extra)`` is each child's entry point.  ``shm``/``shm_threshold``
-    default to the ``REPRO_SHM``/``REPRO_SHM_THRESHOLD`` environment.
+    *extra)`` is each child's entry point.  ``shm`` defaults to the
+    ``REPRO_SHM`` environment; the plane's threshold always comes from
+    ``REPRO_SHM_THRESHOLD``.
     The data plane is created *before* forking so children inherit the
     primary mapping; the parent is the extra party that decodes gathered
     results out of finish records.
@@ -83,7 +84,6 @@ class RankMesh:
 
     def __init__(self, nranks: int, target, extra: tuple = (),
                  shm: Optional[bool] = None,
-                 shm_threshold: Optional[int] = None,
                  name: str = "repro-mp"):
         try:
             ctx = multiprocessing.get_context("fork")
@@ -94,8 +94,6 @@ class RankMesh:
             ) from None
         if shm is None:
             shm = shm_enabled_default()
-        if shm_threshold is None:
-            shm_threshold = shm_threshold_default()
         self.nranks = n = nranks
         with _FORK_LOCK:
             mesh = build_pipe_mesh(ctx, n)
@@ -105,7 +103,7 @@ class RankMesh:
             # Status board: (status, blocked_src, blocked_tag) per rank,
             # written by children, read by the parent on watchdog expiry.
             self.shared_state = ctx.RawArray("l", 3 * n)
-            self.plane = (ShmDataPlane(n, threshold=shm_threshold)
+            self.plane = (ShmDataPlane(n, threshold=shm_threshold_default())
                           if shm else None)
             self.procs = []
             for r in range(n):
@@ -167,7 +165,7 @@ class RankMesh:
                 elif kind == "finish":
                     _, clock, value, rstats = msg
                     if self.plane is not None:
-                        value, _b, _blk = self.plane.decode(value)
+                        value = self.plane.loads(*value)
                     clocks[r] = clock
                     values[r] = value
                     stats[r] = rstats
@@ -298,10 +296,9 @@ class MpEngine:
         ShmDataPlane` (shared-memory blocks; pipes carry only control
         frames).  Defaults to on; ``REPRO_SHM=0`` is the environment
         kill switch.  Semantics are identical either way — only the
-        transport (and the ``shm_*``/``pipe_*`` counters) change.
-    shm_threshold:
-        Payload size in bytes below which the pickle path is kept
-        (default 2048, or ``REPRO_SHM_THRESHOLD``).
+        transport (and the ``shm_*``/``pipe_*`` counters) change.  The
+        size below which a buffer stays in the pickle is
+        ``REPRO_SHM_THRESHOLD`` (default 2048 bytes).
     """
 
     def __init__(
@@ -312,7 +309,6 @@ class MpEngine:
         trace: bool = False,
         timeout: float = 120.0,
         shm: Optional[bool] = None,
-        shm_threshold: Optional[int] = None,
     ):
         if topology is None:
             if nranks is None:
@@ -330,7 +326,6 @@ class MpEngine:
             raise EngineError(f"timeout must be > 0, got {timeout}")
         self.timeout = timeout
         self.shm = shm
-        self.shm_threshold = shm_threshold
 
     def run(
         self,
@@ -346,7 +341,7 @@ class MpEngine:
         mesh = RankMesh(
             self.nranks, worker_main,
             (program, args, self.machine, self.topology, t0, self.trace),
-            shm=self.shm, shm_threshold=self.shm_threshold,
+            shm=self.shm,
         )
         try:
             result = mesh.supervise(t0, self.timeout, self.trace)

@@ -283,15 +283,10 @@ class RankProcess:
             )
             if dataplane is not None:
                 # Gathered results ride the data plane too: the parent (the
-                # plane's extra party) decodes the refs out of the finish
-                # record.  Counted before the stats object is shipped.
-                value, vbytes, vblocks, vfall = dataplane.encode(
-                    value, (dataplane.parent_party,))
-                if vbytes:
-                    stats.count("shm_bytes_sent", vbytes)
-                    stats.count("shm_blocks_sent", vblocks)
-                if vfall:
-                    stats.count("shm_fallbacks", vfall)
+                # plane's extra party) loads them out of the finish record.
+                # Counted before the stats object is shipped.
+                value = _plane_dumps(dataplane, stats, value,
+                                     dataplane.parent_party)
                 stats.counters["shm_hwm_bytes"] = dataplane.hwm_bytes
             # Everything this job queued is on the wire before we report:
             # the warm pool's peers drain their pipes at the reset barrier,
@@ -343,6 +338,20 @@ def worker_main(rank_id, nranks, mesh, ctrls, shared_state, dataplane,
         proc.close()
 
 
+def _plane_dumps(dataplane, stats: RankStats, obj: Any,
+                 consumer: int) -> Tuple[bytes, tuple]:
+    """Pickle ``obj`` through the data plane for ``consumer`` and count
+    what it hoisted; returns the ``(data, refs)`` pair that the receiver
+    hands to :meth:`~repro.machine.shm.ShmDataPlane.loads`."""
+    data, refs, fallbacks = dataplane.dumps(obj, (consumer,))
+    if refs:
+        stats.count("shm_bytes_sent", sum(r.nbytes for r in refs))
+        stats.count("shm_blocks_sent", len(refs))
+    if fallbacks:
+        stats.count("shm_fallbacks", fallbacks)
+    return data, refs
+
+
 def _interpret(
     rank_id: int,
     nranks: int,
@@ -359,8 +368,8 @@ def _interpret(
 ) -> Any:
     """Drive the rank generator over real pipes; returns its value.
 
-    With a ``dataplane``, large payload leaves are hoisted into shared
-    memory before the frame is pickled (and resolved after receive);
+    With a ``dataplane``, each payload is pickled through it (bulk
+    buffers go to shared memory) and loaded when its receive matches;
     ``nbytes``/``bytes_sent`` still come from the *original* payload via
     ``op.wire_size()``, so traffic accounting is transport-independent.
     """
@@ -409,13 +418,7 @@ def _interpret(
             seq_counter += 1
             payload = op.payload
             if dataplane is not None:
-                payload, sbytes, sblocks, sfall = dataplane.encode(
-                    payload, (op.dest,))
-                if sbytes:
-                    stats.count("shm_bytes_sent", sbytes)
-                    stats.count("shm_blocks_sent", sblocks)
-                if sfall:
-                    stats.count("shm_fallbacks", sfall)
+                payload = _plane_dumps(dataplane, stats, payload, op.dest)
             framelen = sender.send(
                 conns[op.dest],
                 (op.tag, seq, nbytes, op_start, payload),
@@ -488,8 +491,8 @@ def _do_recv(
     inbox: _Inbox,
     now,
     set_state,
-    dataplane=None,
-    stats: Optional[RankStats] = None,
+    dataplane,
+    stats: RankStats,
 ) -> Optional[Tuple[float, Message]]:
     """Blocking receive with optional timeout.  Returns ``(arrival_wall,
     Message)`` or None on timeout."""
@@ -503,10 +506,12 @@ def _do_recv(
                 arrival = inbox.arrival_wall.pop(idx, now())
                 payload = frame[FRAME_PAYLOAD]
                 if dataplane is not None:
-                    payload, rbytes, rblocks = dataplane.decode(payload)
-                    if rbytes and stats is not None:
-                        stats.count("shm_bytes_recv", rbytes)
-                        stats.count("shm_blocks_recv", rblocks)
+                    data, refs = payload
+                    payload = dataplane.loads(data, refs)
+                    if refs:
+                        stats.count("shm_bytes_recv",
+                                    sum(r.nbytes for r in refs))
+                        stats.count("shm_blocks_recv", len(refs))
                 return arrival, Message(
                     source=src,
                     dest=rank_id,

@@ -6,12 +6,15 @@ deserialize.  For the bulk traffic the runtime generates — scattered
 operands inside shipped closures, gathered result environments,
 redistribute all-to-alls, whole-schedule ship lists — that is three
 copies too many.  :class:`ShmDataPlane` replaces the payload bytes with
-*index writes*: large contiguous ``ndarray`` (and raw ``bytes``) payloads
-are copied once into a ``multiprocessing.shared_memory`` segment mapped
-by every process, and the pipe frame carries only a :class:`ShmRef` —
-segment name, offset, dtype, shape, content tag.  Small payloads keep
-the pickle path (and its ``PIPE_BUF``-atomic inline-send fast path): the
-crossover is ``threshold`` bytes.
+*index writes*: it pickles each payload once with protocol 5 (PEP 574),
+and every out-of-band buffer pickle finds (a contiguous non-object
+``ndarray``, wherever it sits in the object graph) of at least
+``threshold`` bytes is copied once into a ``multiprocessing.shared_memory``
+segment mapped by every process.  The pipe frame carries the pickled
+bytes plus one :class:`ShmRef` per hoisted buffer — segment name,
+offset, size, content tag.  Smaller buffers stay in-band and keep the
+``PIPE_BUF``-atomic inline-send fast path; raw ``bytes``, non-contiguous
+views and object-dtype arrays have no out-of-band buffer and always do.
 
 Design (docs/dataplane.md has the full treatment):
 
@@ -51,9 +54,9 @@ matrix reconcile bit-for-bit with the plane on or off.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import os
+import pickle
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -82,8 +85,8 @@ class ShmError(KaliError):
 #: costs address space, not memory.
 DEFAULT_SEGMENT_BYTES = 16 * 1024 * 1024
 
-#: payloads smaller than this stay on the pickle path — below a few KiB
-#: the pipe write is one atomic syscall and beats the block bookkeeping.
+#: buffers smaller than this stay in the pickle — below a few KiB the
+#: pipe write is one atomic syscall and beats the block bookkeeping.
 DEFAULT_THRESHOLD = 2048
 
 _MAGIC = 0x4B414C49_53484D01  # "KALISHM" v1
@@ -150,18 +153,14 @@ def _unlink_segment(name: str) -> None:
 
 @dataclass(frozen=True)
 class ShmRef:
-    """A pipe-sized stand-in for a payload living in shared memory.
+    """A pipe-sized stand-in for one buffer living in shared memory.
 
-    ``dtype`` is a numpy dtype string for array payloads and ``None``
-    for raw bytes.  ``tag`` is the owner-unique content tag checked on
-    every read."""
+    ``tag`` is the owner-unique content tag checked on every read."""
 
     segment: str
     offset: int
     nbytes: int
     tag: int
-    dtype: Optional[str] = None
-    shape: Optional[Tuple[int, ...]] = None
 
 
 class _Seg:
@@ -204,24 +203,30 @@ class _Arena:
         self.bump = 0                      # next never-used offset
         self.free: List[Tuple[int, int]] = []   # (abs offset, size)
 
-    def alloc(self, need: int) -> Optional[int]:
+    def alloc(self, need: int) -> Optional[Tuple[int, int]]:
+        """First fit, then the bump pointer.  Returns ``(offset, size
+        taken)``: a free block too small to split is taken whole."""
         for i, (off, sz) in enumerate(self.free):
             if sz >= need:
                 del self.free[i]
                 if sz - need >= _MIN_SPLIT:
                     self.free.append((off + need, sz - need))
-                return off
+                    sz = need
+                return off, sz
         if self.size - self.bump >= need:
             off = self.base + self.bump
             self.bump += need
-            return off
+            return off, need
         return None
 
     def release(self, off: int, size: int) -> None:
-        if off - self.base + size == self.bump:
-            self.bump -= size          # give the tail back to the bump
-        else:
-            self.free.append((off, size))
+        self.free.append((off, size))
+        # Give every free block that ends at the bump pointer back to it.
+        by_end = {o + sz: (o, sz) for o, sz in self.free}
+        while self.base + self.bump in by_end:
+            block = by_end.pop(self.base + self.bump)
+            self.free.remove(block)
+            self.bump -= block[1]
 
     def in_use(self) -> int:
         return self.bump - sum(sz for _off, sz in self.free)
@@ -310,7 +315,6 @@ class ShmDataPlane:
         #: tag -> (segment, offset, size, consumers)
         self._outstanding: Dict[int, Tuple[str, int, int, Tuple[int, ...]]] = {}
         self.hwm_bytes = 0
-        self.fallbacks = 0
         return self
 
     # --- allocation (owner side) -----------------------------------------
@@ -324,11 +328,11 @@ class ShmDataPlane:
         self._tag_counter += 1
         return self._tag_counter * self.nparties + self._party + 1
 
-    def _alloc(self, need: int) -> Optional[Tuple[str, int]]:
+    def _alloc(self, need: int) -> Optional[Tuple[str, int, int]]:
         for arena in self._arenas:
-            off = arena.alloc(need)
-            if off is not None:
-                return arena.segment, off
+            got = arena.alloc(need)
+            if got is not None:
+                return (arena.segment, *got)
         return None
 
     def _grow(self, need: int) -> None:
@@ -341,16 +345,12 @@ class ShmDataPlane:
         self._own_grown.append(name)
         self._arenas.append(_Arena(name, 0, size))
 
-    def _publish(
-        self,
-        nbytes: int,
-        consumers: Sequence[int],
-        write,          # callable(np.uint8 view of the payload region)
-        dtype: Optional[str],
-        shape: Optional[Tuple[int, ...]],
-    ) -> Optional[ShmRef]:
-        """Allocate + fill one block; None when allocation fails (the
-        caller falls back to the pickle path)."""
+    def publish(self, buffer, consumers: Sequence[int]) -> Optional[ShmRef]:
+        """Copy one C-contiguous bytes-like ``buffer`` into a new block
+        readable once by each of ``consumers``; None when allocation
+        fails (the caller keeps the buffer in the pickle)."""
+        data = memoryview(buffer).cast("B")
+        nbytes = data.nbytes
         consumers = tuple(sorted(set(consumers)))
         if not consumers:
             raise ShmError("publish needs at least one consumer")
@@ -370,15 +370,15 @@ class ShmDataPlane:
             addr = self._alloc(need)
         if addr is None:  # pragma: no cover - grow sized to fit
             return None
-        segname, off = addr
+        segname, off, size = addr
         seg = self._segments[segname]
         h = off // 8
         tag = self._next_tag()
         seg.i64[h + 1: h + 1 + self.nparties] = 0    # acks before tag
         seg.i64[h] = tag
-        write(np.frombuffer(seg.buf, dtype=np.uint8, count=nbytes,
-                            offset=off + self._blk_hdr))
-        self._outstanding[tag] = (segname, off, need, consumers)
+        start = off + self._blk_hdr
+        seg.buf[start: start + nbytes] = data
+        self._outstanding[tag] = (segname, off, size, consumers)
         i64 = self._primary_seg.i64
         i64[self._hdr_slot(self._party, _SLOT_PUB_BLOCKS)] += 1
         i64[self._hdr_slot(self._party, _SLOT_PUB_BYTES)] += nbytes
@@ -386,8 +386,7 @@ class ShmDataPlane:
         if in_use > self.hwm_bytes:
             self.hwm_bytes = in_use
             i64[self._hdr_slot(self._party, _SLOT_HWM)] = in_use
-        return ShmRef(segment=segname, offset=off, nbytes=nbytes, tag=tag,
-                      dtype=dtype, shape=shape)
+        return ShmRef(segment=segname, offset=off, nbytes=nbytes, tag=tag)
 
     def reclaim(self) -> Tuple[int, int]:
         """Free every outstanding block whose consumers have all acked.
@@ -413,25 +412,6 @@ class ShmDataPlane:
 
     # --- publish / read ---------------------------------------------------
 
-    def publish_array(self, arr: np.ndarray,
-                      consumers: Sequence[int]) -> Optional[ShmRef]:
-        c = np.ascontiguousarray(arr)
-        return self._publish(
-            c.nbytes, consumers,
-            lambda view: np.copyto(
-                view.view(c.dtype)[: c.size].reshape(c.shape), c),
-            dtype=c.dtype.str, shape=tuple(c.shape),
-        )
-
-    def publish_bytes(self, data: bytes,
-                      consumers: Sequence[int]) -> Optional[ShmRef]:
-        return self._publish(
-            len(data), consumers,
-            lambda view: view.__setitem__(slice(None),
-                                          np.frombuffer(data, np.uint8)),
-            dtype=None, shape=None,
-        )
-
     def _attach_seg(self, name: str) -> _Seg:
         seg = self._segments.get(name)
         if seg is None:
@@ -447,9 +427,10 @@ class ShmDataPlane:
             self._segments[name] = seg
         return seg
 
-    def read(self, ref: ShmRef) -> Any:
-        """Consume one block: verify the tag, copy the payload out, set
-        this party's ack slot.  Each party may read a ref exactly once."""
+    def read(self, ref: ShmRef) -> np.ndarray:
+        """Consume one block: verify the tag, copy the payload out into a
+        private writable ``uint8`` array, set this party's ack slot.  Each
+        party may read a ref exactly once."""
         seg = self._attach_seg(ref.segment)
         h = ref.offset // 8
         if int(seg.i64[h]) != ref.tag:
@@ -463,105 +444,45 @@ class ShmDataPlane:
                 f"double consume: party {self._party} already read block "
                 f"tag {ref.tag}"
             )
-        payload_off = ref.offset + self._blk_hdr
-        if ref.dtype is None:
-            out: Any = bytes(seg.buf[payload_off: payload_off + ref.nbytes])
-        else:
-            dt = np.dtype(ref.dtype)
-            out = np.frombuffer(
-                seg.buf, dtype=dt, count=ref.nbytes // dt.itemsize,
-                offset=payload_off,
-            ).reshape(ref.shape).copy()
+        out = np.frombuffer(seg.buf, dtype=np.uint8, count=ref.nbytes,
+                            offset=ref.offset + self._blk_hdr).copy()
         seg.i64[ack] = 1
         i64 = self._primary_seg.i64
         i64[self._hdr_slot(self._party, _SLOT_CON_BLOCKS)] += 1
         i64[self._hdr_slot(self._party, _SLOT_CON_BYTES)] += ref.nbytes
         return out
 
-    # --- payload walking --------------------------------------------------
+    # --- pickling --------------------------------------------------------
 
-    def encode(self, obj: Any,
-               consumers: Sequence[int]) -> Tuple[Any, int, int, int]:
-        """Hoist large arrays/bytes in ``obj`` into shm blocks readable by
-        ``consumers``.  Returns ``(encoded, bytes, blocks, fallbacks)``;
-        the encoded object mirrors ``obj`` with :class:`ShmRef` leaves."""
-        state = [0, 0, 0]
-        out = self._enc(obj, tuple(consumers), state)
-        return out, state[0], state[1], state[2]
+    def dumps(self, obj: Any, consumers: Sequence[int]
+              ) -> Tuple[bytes, Tuple[ShmRef, ...], int]:
+        """Pickle ``obj`` once with protocol 5, publishing every
+        out-of-band buffer of at least ``threshold`` bytes as one block
+        for ``consumers``.  Smaller buffers, and any the arenas cannot
+        hold, stay in-band.  Returns ``(data, refs, fallbacks)``; the
+        refs are in buffer order, as :meth:`loads` needs them."""
+        refs: List[ShmRef] = []
+        fallbacks = 0
 
-    def _enc(self, o: Any, consumers: Tuple[int, ...], state: List[int]):
-        if isinstance(o, np.ndarray):
-            if o.nbytes >= self.threshold and not o.dtype.hasobject:
-                ref = self.publish_array(o, consumers)
-                if ref is None:
-                    state[2] += 1
-                    return o
-                state[0] += o.nbytes
-                state[1] += 1
-                return ref
-            return o
-        if isinstance(o, (bytes, bytearray)) and len(o) >= self.threshold:
-            ref = self.publish_bytes(bytes(o), consumers)
+        def hoist(buf: pickle.PickleBuffer) -> bool:
+            nonlocal fallbacks
+            raw = buf.raw()
+            if raw.nbytes < self.threshold:
+                return True
+            ref = self.publish(raw, consumers)
             if ref is None:
-                state[2] += 1
-                return o
-            state[0] += len(o)
-            state[1] += 1
-            return ref
-        if type(o) is dict:
-            enc = {k: self._enc(v, consumers, state) for k, v in o.items()}
-            return enc if any(enc[k] is not o[k] for k in o) else o
-        if type(o) in (tuple, list):
-            enc = [self._enc(v, consumers, state) for v in o]
-            if all(a is b for a, b in zip(enc, o)):
-                return o
-            return tuple(enc) if type(o) is tuple else enc
-        fields = getattr(type(o), "__shm_fields__", None)
-        if fields:
-            # Opt-in hoist protocol: a class lists the attributes that may
-            # hold bulk data (LocalArray.data, _RankOutcome.env/value).
-            # The original object is never mutated — hoisted attributes go
-            # on a shallow copy, so driver/sim aliasing is preserved.
-            enc_attrs = {f: self._enc(getattr(o, f), consumers, state)
-                         for f in fields}
-            if all(enc_attrs[f] is getattr(o, f) for f in fields):
-                return o
-            c = copy.copy(o)
-            for f, v in enc_attrs.items():
-                setattr(c, f, v)
-            return c
-        return o
+                fallbacks += 1
+                return True
+            refs.append(ref)
+            return False
 
-    def decode(self, obj: Any) -> Tuple[Any, int, int]:
-        """Inverse of :meth:`encode`: resolve every :class:`ShmRef` leaf.
-        Returns ``(decoded, bytes, blocks)``."""
-        state = [0, 0]
-        out = self._dec(obj, state)
-        return out, state[0], state[1]
+        data = pickle.dumps(obj, protocol=5, buffer_callback=hoist)
+        return data, tuple(refs), fallbacks
 
-    def _dec(self, o: Any, state: List[int]):
-        if isinstance(o, ShmRef):
-            state[0] += o.nbytes
-            state[1] += 1
-            return self.read(o)
-        if type(o) is dict:
-            dec = {k: self._dec(v, state) for k, v in o.items()}
-            return dec if any(dec[k] is not o[k] for k in o) else o
-        if type(o) in (tuple, list):
-            dec = [self._dec(v, state) for v in o]
-            if all(a is b for a, b in zip(dec, o)):
-                return o
-            return tuple(dec) if type(o) is tuple else dec
-        fields = getattr(type(o), "__shm_fields__", None)
-        if fields:
-            dec_attrs = {f: self._dec(getattr(o, f), state) for f in fields}
-            if all(dec_attrs[f] is getattr(o, f) for f in fields):
-                return o
-            c = copy.copy(o)
-            for f, v in dec_attrs.items():
-                setattr(c, f, v)
-            return c
-        return o
+    def loads(self, data: bytes, refs: Sequence[ShmRef]) -> Any:
+        """Inverse of :meth:`dumps`: read every ref (tag check, copy out,
+        ack) and unpickle with them as the out-of-band buffers."""
+        return pickle.loads(data, buffers=[self.read(r) for r in refs])
 
     # --- lifecycle --------------------------------------------------------
 

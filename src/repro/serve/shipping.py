@@ -177,7 +177,7 @@ def dumps_via(obj: Any, plane, consumers) -> Tuple[Any, int]:
     serialized size if it went via shm, else 0."""
     payload = dumps(obj)
     if plane is not None and len(payload) >= plane.threshold:
-        ref = plane.publish_bytes(payload, consumers)
+        ref = plane.publish(payload, consumers)
         if ref is not None:
             return ref, len(payload)
     return payload, 0

@@ -199,13 +199,7 @@ class _OpSpec:
 
 @dataclass
 class _OpOutcome:
-    """One rank's result: mutated store + in-slice replies, plain data.
-
-    ``__shm_fields__``: on the mp backend the reply arrays ride the
-    shared-memory plane home instead of the control pipe.
-    """
-
-    __shm_fields__ = ("found", "result")
+    """One rank's result: mutated store + in-slice replies, plain data."""
 
     store: LocalStore
     pos: np.ndarray

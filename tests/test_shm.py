@@ -7,15 +7,17 @@ Three layers:
   exhaustion → grow, free-list reuse, reset/rewind, and orphan sweeping,
   all in one process (the consumer side is exercised by re-attaching the
   plane as a different party, exactly what a forked worker does).
-* **Encode/decode protocol** — nested containers, the ``__shm_fields__``
-  opt-in hoist, no-mutation guarantees, and pickle fallback accounting.
+* **Protocol-5 pickling** — ``dumps``/``loads``: the threshold boundary,
+  nested containers, in-band cases, and fallback accounting.
 * **Differential integration** — jacobi on sim vs mp with the plane on
   and off stays bit-identical with identical semantic counters, the
-  plane moves bytes when on and none when off, and a warm pool run
-  ships schedules through the plane and reclaims at reset.
+  plane moves bytes when on and none when off, any object's arrays and
+  every in-band payload kind cross real processes intact, and a warm
+  pool run ships schedules through the plane and reclaims at reset.
 """
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -71,11 +73,11 @@ def _ack_all(plane, ref):
 class TestPublishRead:
     def test_array_round_trip_preserves_dtype_and_shape(self, plane):
         arr = np.arange(600, dtype=np.float32).reshape(30, 20) * 1.5
-        ref = plane.publish_array(arr, consumers=[0])
-        assert isinstance(ref, ShmRef)
-        assert ref.nbytes == arr.nbytes
+        data, refs, _ = plane.dumps(arr, consumers=[0])
+        assert len(refs) == 1 and isinstance(refs[0], ShmRef)
+        assert refs[0].nbytes == arr.nbytes
         plane.attach(0)  # become the consumer, as a forked worker would
-        out = plane.read(ref)
+        out = plane.loads(data, refs)
         assert out.dtype == arr.dtype
         assert out.shape == arr.shape
         assert np.array_equal(out, arr)
@@ -84,20 +86,20 @@ class TestPublishRead:
 
     def test_bytes_round_trip(self, plane):
         blob = os.urandom(4096)
-        ref = plane.publish_bytes(blob, consumers=[0, 1])
-        assert ref.dtype is None and ref.shape is None
+        ref = plane.publish(blob, consumers=[0, 1])
+        assert ref.nbytes == len(blob)
         plane.attach(1)
-        assert plane.read(ref) == blob
+        assert plane.read(ref).tobytes() == blob
 
     def test_double_consume_raises(self, plane):
-        ref = plane.publish_array(np.zeros(512), consumers=[0])
+        ref = plane.publish(np.zeros(512), consumers=[0])
         plane.attach(0)
         plane.read(ref)
         with pytest.raises(ShmError, match="double consume"):
             plane.read(ref)
 
     def test_each_consumer_reads_once(self, plane):
-        ref = plane.publish_array(np.ones(512), consumers=[0, 1])
+        ref = plane.publish(np.ones(512), consumers=[0, 1])
         plane.attach(0)
         a = plane.read(ref)
         plane.attach(1)
@@ -105,7 +107,7 @@ class TestPublishRead:
         assert np.array_equal(a, b)
 
     def test_stale_ref_after_reclaim_raises(self, plane):
-        ref = plane.publish_array(np.zeros(512), consumers=[0])
+        ref = plane.publish(np.zeros(512), consumers=[0])
         _ack_all(plane, ref)
         blocks, freed = plane.reclaim()
         assert blocks == 1 and freed > 0
@@ -115,15 +117,15 @@ class TestPublishRead:
 
     def test_publish_to_self_rejected(self, plane):
         with pytest.raises(ShmError, match="bad consumer"):
-            plane.publish_array(np.zeros(512), consumers=[plane.party])
+            plane.publish(np.zeros(512), consumers=[plane.party])
 
     def test_publish_needs_consumers(self, plane):
         with pytest.raises(ShmError, match="at least one consumer"):
-            plane.publish_array(np.zeros(512), consumers=[])
+            plane.publish(np.zeros(512), consumers=[])
 
     def test_header_indices_track_traffic(self, plane):
         arr = np.zeros(1024)
-        plane.publish_array(arr, consumers=[0])
+        plane.publish(arr, consumers=[0])
         stats = plane.header_stats()
         parent = plane.parent_party
         assert stats["pub_blocks"][parent] == 1
@@ -136,47 +138,64 @@ class TestAllocator:
     def test_exhaustion_grows_new_segment(self, plane):
         # far larger than the ~340 KiB per-party arena of a 1 MiB segment
         big = np.zeros(1 << 20, dtype=np.uint8)
-        ref = plane.publish_array(big, consumers=[0])
+        ref = plane.publish(big, consumers=[0])
         assert ref is not None
         assert ref.segment != plane.primary, "should have grown a segment"
         plane.attach(0)  # consumer attaches the grown segment by name
         assert np.array_equal(plane.read(ref), big)
 
     def test_reclaim_then_free_list_reuse(self, plane):
-        a = plane.publish_array(np.zeros(2048, dtype=np.uint8), consumers=[0])
-        b = plane.publish_array(np.zeros(2048, dtype=np.uint8), consumers=[0])
+        a = plane.publish(np.zeros(2048, dtype=np.uint8), consumers=[0])
+        b = plane.publish(np.zeros(2048, dtype=np.uint8), consumers=[0])
         assert b.offset > a.offset
         _ack_all(plane, a)
         _ack_all(plane, b)
         plane.reclaim()
-        c = plane.publish_array(np.zeros(2048, dtype=np.uint8), consumers=[0])
+        c = plane.publish(np.zeros(2048, dtype=np.uint8), consumers=[0])
         # freed space is reused instead of bumping the arena further
         assert c.offset in (a.offset, b.offset)
 
     def test_full_arena_reclaims_acked_blocks_inline(self, plane):
         chunk = np.zeros(200 * 1024, dtype=np.uint8)
-        refs = [plane.publish_array(chunk, consumers=[0])]
+        refs = [plane.publish(chunk, consumers=[0])]
         _ack_all(plane, refs[0])
         # keep publishing: once the arena fills, _publish must reclaim
         # the acked block instead of growing
         for _ in range(3):
-            r = plane.publish_array(chunk, consumers=[0])
+            r = plane.publish(chunk, consumers=[0])
             refs.append(r)
             _ack_all(plane, r)
         assert all(r.segment == plane.primary for r in refs)
 
+    def test_unsplit_free_block_returns_whole_to_bump(self, plane):
+        # A free block reused without a split (remainder under the split
+        # minimum) must be recorded at its full size, and freed blocks
+        # ending at the bump pointer must fold back into it.
+        arena = plane._arenas[0]
+        a = plane.publish(np.zeros(4096, dtype=np.uint8), consumers=[0])
+        b = plane.publish(np.zeros(4096, dtype=np.uint8), consumers=[0])
+        _ack_all(plane, a)
+        plane.reclaim()
+        c = plane.publish(np.zeros(3968, dtype=np.uint8), consumers=[0])
+        assert c.offset == a.offset
+        _ack_all(plane, b)
+        _ack_all(plane, c)
+        plane.reclaim()
+        assert arena.in_use() == 0
+        assert arena.bump == 0 and arena.free == []
+
     def test_reset_party_rewinds_and_unlinks_grown(self, plane):
         big = np.zeros(1 << 20, dtype=np.uint8)
-        ref = plane.publish_array(big, consumers=[0])
+        ref = plane.publish(big, consumers=[0])
         grown = ref.segment
         assert os.path.exists(os.path.join("/dev/shm", grown))
-        small = plane.publish_array(np.zeros(4096, dtype=np.uint8),
+        small = plane.publish(np.zeros(4096, dtype=np.uint8),
                                     consumers=[0])
         reclaimed = plane.reset_party()
         assert reclaimed > big.nbytes
         assert not os.path.exists(os.path.join("/dev/shm", grown))
         # the primary arena rewound: the next publish reuses the start
-        again = plane.publish_array(np.zeros(4096, dtype=np.uint8),
+        again = plane.publish(np.zeros(4096, dtype=np.uint8),
                                     consumers=[0])
         assert again.offset == small.offset
         # refs from before the reset are dead, not dangling
@@ -211,79 +230,54 @@ class TestAllocator:
             ShmDataPlane(nranks=8, segment_bytes=1024)
 
 
-# --- encode/decode protocol ------------------------------------------------
+# --- protocol-5 pickling ----------------------------------------------------
 
 
 class TestEncodeDecode:
     def test_threshold_boundary_exact(self, plane):
         below = np.zeros(plane.threshold - 1, dtype=np.uint8)
-        at = np.zeros(plane.threshold, dtype=np.uint8)
-        enc, nbytes, blocks, fallbacks = plane.encode(
+        at = np.ones(plane.threshold, dtype=np.uint8)
+        data, refs, fallbacks = plane.dumps(
             {"below": below, "at": at}, consumers=[0])
-        assert enc["below"] is below          # small: untouched
-        assert isinstance(enc["at"], ShmRef)  # >= threshold: hoisted
-        assert nbytes == at.nbytes and blocks == 1 and fallbacks == 0
-
-    def test_bytes_respect_threshold(self, plane):
-        enc, nbytes, blocks, _ = plane.encode(
-            [b"x" * (plane.threshold - 1), b"y" * plane.threshold],
-            consumers=[0])
-        assert isinstance(enc[0], bytes) and isinstance(enc[1], ShmRef)
-        assert blocks == 1
+        # only the buffer of exactly `threshold` bytes is hoisted
+        assert len(refs) == 1 and fallbacks == 0
+        assert refs[0].nbytes == at.nbytes
+        assert len(data) < at.nbytes + below.nbytes
+        plane.attach(0)
+        dec = plane.loads(data, refs)
+        assert np.array_equal(dec["below"], below)
+        assert np.array_equal(dec["at"], at)
 
     def test_object_dtype_arrays_never_hoisted(self, plane):
         arr = np.array([{"a": 1}] * 4096, dtype=object)
-        enc, _, blocks, _ = plane.encode(arr, consumers=[0])
-        assert enc is arr and blocks == 0
+        data, refs, fallbacks = plane.dumps(arr, consumers=[0])
+        assert refs == () and fallbacks == 0
+        assert plane.loads(data, refs).tolist() == arr.tolist()
 
     def test_nested_structure_round_trip(self, plane):
         big = np.arange(2048, dtype=np.float64)
         obj = {"k": (1, [big, "tiny"], {"inner": big * 2}), "n": None}
-        enc, nbytes, blocks, fallbacks = plane.encode(obj, consumers=[0])
-        assert blocks == 2 and fallbacks == 0
-        assert isinstance(enc["k"][1][0], ShmRef)
-        assert obj["k"][1][0] is big, "encode must not mutate the original"
+        data, refs, fallbacks = plane.dumps(obj, consumers=[0])
+        assert len(refs) == 2 and fallbacks == 0
+        assert sum(r.nbytes for r in refs) == 2 * big.nbytes
+        assert obj["k"][1][0] is big, "dumps must not mutate the original"
         plane.attach(0)
-        dec, dbytes, dblocks = plane.decode(enc)
-        assert dblocks == 2 and dbytes == nbytes
+        dec = plane.loads(data, refs)
         assert np.array_equal(dec["k"][1][0], big)
         assert np.array_equal(dec["k"][2]["inner"], big * 2)
-        assert dec["k"][1][1] == "tiny"
-
-    def test_untouched_subtrees_keep_identity(self, plane):
-        small = {"a": [1, 2, 3], "b": np.zeros(4)}
-        enc, _, blocks, _ = plane.encode(small, consumers=[0])
-        assert enc is small and blocks == 0
-
-    def test_shm_fields_hoist_copies_never_mutates(self, plane):
-        class Carrier:
-            __shm_fields__ = ("payload",)
-
-            def __init__(self, payload, label):
-                self.payload = payload
-                self.label = label
-
-        big = np.ones(4096)
-        orig = Carrier(big, "x")
-        enc, _, blocks, _ = plane.encode(orig, consumers=[0])
-        assert blocks == 1
-        assert enc is not orig and isinstance(enc.payload, ShmRef)
-        assert orig.payload is big, "original object must stay intact"
-        assert enc.label == "x"
-        plane.attach(0)
-        dec, _, dblocks = plane.decode(enc)
-        assert dblocks == 1
-        assert np.array_equal(dec.payload, big)
+        assert dec["k"][1][1] == "tiny" and dec["n"] is None
+        assert dec["k"][1][0].flags.writeable
 
     def test_fallback_when_grow_fails(self, plane, monkeypatch):
         def no_grow(need):
             raise OSError("no space on /dev/shm")
 
         monkeypatch.setattr(plane, "_grow", no_grow)
-        huge = np.zeros(1 << 20, dtype=np.uint8)
-        enc, nbytes, blocks, fallbacks = plane.encode(huge, consumers=[0])
-        assert enc is huge, "fallback must return the original payload"
-        assert fallbacks == 1 and blocks == 0 and nbytes == 0
+        huge = np.arange(1 << 20, dtype=np.uint8)
+        data, refs, fallbacks = plane.dumps(huge, consumers=[0])
+        assert refs == () and fallbacks == 1
+        assert len(data) > huge.nbytes, "fallback keeps the buffer in-band"
+        assert np.array_equal(plane.loads(data, refs), huge)
 
     def test_env_kill_switch_and_threshold(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHM", "0")
@@ -323,32 +317,73 @@ class TestShipping:
 # --- differential integration ---------------------------------------------
 
 
-def _jacobi(backend, shm):
-    # threshold of 256B so even this small mesh's gathers cross the plane
+@pytest.fixture
+def set_shm(monkeypatch):
+    """Switch the plane through the environment, as every front end
+    does; a threshold of 256B so even this small mesh's gathers cross
+    the plane."""
+    monkeypatch.setenv("REPRO_SHM_THRESHOLD", "256")
+    return lambda on: monkeypatch.setenv("REPRO_SHM", "1" if on else "0")
+
+
+def _jacobi(backend):
     mesh = five_point_grid(12, 12)
     init = np.random.default_rng(7).random(mesh.n)
     return build_jacobi(mesh, 4, machine=IDEAL, initial=init,
-                        backend=backend, shm=shm, shm_threshold=256,
-                        mp_timeout=60.0)
+                        backend=backend, mp_timeout=60.0)
+
+
+@dataclass
+class _Carrier:
+    """A payload class the plane knows nothing about."""
+
+    label: str
+    payload: np.ndarray
+
+
+def _echo(payload):
+    """Rank 0 sends ``payload`` to rank 1, which returns what it got and
+    whether its copy is writable."""
+    def prog(rank):
+        if rank.id == 0:
+            yield Send(1, payload, tag=3)
+            return None
+        msg = yield Recv(source=0, tag=3)
+        writable = getattr(msg.payload, "flags", None)
+        return msg.payload, writable is None or writable.writeable
+    return prog
+
+
+_IN_BAND = {
+    "strided-view": lambda: np.arange(1 << 14, dtype=np.float64)[::2],
+    "fortran-order": lambda: np.asfortranarray(
+        np.arange(1 << 13, dtype=np.float64).reshape(128, 64)),
+    "object-dtype": lambda: np.array([{"k": i} for i in range(512)],
+                                     dtype=object),
+    "zero-d": lambda: np.array(3.25),
+    "bytes-blob": lambda: os.urandom(1 << 16),
+}
 
 
 class TestDifferential:
-    def test_jacobi_bit_identical_with_plane_on(self):
-        pair = run_differential(lambda b: _jacobi(b, shm=True),
-                                lambda p: p.run(sweeps=4))
+    def test_jacobi_bit_identical_with_plane_on(self, set_shm):
+        set_shm(True)
+        pair = run_differential(_jacobi, lambda p: p.run(sweeps=4))
         assert_arrays_identical(pair)
         assert_counters_identical(pair)
         assert_values_equal(pair)
 
-    def test_jacobi_bit_identical_with_plane_off(self):
-        pair = run_differential(lambda b: _jacobi(b, shm=False),
-                                lambda p: p.run(sweeps=4))
+    def test_jacobi_bit_identical_with_plane_off(self, set_shm):
+        set_shm(False)
+        pair = run_differential(_jacobi, lambda p: p.run(sweeps=4))
         assert_arrays_identical(pair)
         assert_counters_identical(pair)
 
-    def test_plane_moves_bytes_only_when_on(self):
-        on = _jacobi("mp", shm=True).run(sweeps=4)
-        off = _jacobi("mp", shm=False).run(sweeps=4)
+    def test_plane_moves_bytes_only_when_on(self, set_shm):
+        set_shm(True)
+        on = _jacobi("mp").run(sweeps=4)
+        set_shm(False)
+        off = _jacobi("mp").run(sweeps=4)
         on_bytes = sum(s.counters.get("shm_bytes_sent", 0)
                        for s in on.engine.stats)
         off_bytes = sum(s.counters.get("shm_bytes_sent", 0)
@@ -360,7 +395,8 @@ class TestDifferential:
             assert a.bytes_sent == b.bytes_sent
             assert a.messages_sent == b.messages_sent
 
-    def test_raw_engine_large_payload_round_trip(self):
+    def test_raw_engine_large_payload_round_trip(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHM_THRESHOLD", "1024")
         payload = np.arange(1 << 16, dtype=np.float64)
 
         def prog(rank):
@@ -372,10 +408,45 @@ class TestDifferential:
             return float(msg.payload.sum())
 
         eng = MpEngine(IDEAL, topology=FullyConnected(2), timeout=60.0,
-                       shm=True, shm_threshold=1024)
+                       shm=True)
         res = eng.run(prog)
         assert res.values[1] == float(payload.sum())
         assert res.stats[0].counters.get("shm_bytes_sent", 0) >= payload.nbytes
+
+    @pytest.mark.parametrize("kind", sorted(_IN_BAND))
+    def test_raw_engine_in_band_payload_round_trip(self, kind, monkeypatch):
+        # Buffers pickle cannot hand out of band — non-contiguous views,
+        # object arrays, raw bytes — or that sit under the threshold stay
+        # in the frame and must still arrive bit-identical and writable.
+        monkeypatch.setenv("REPRO_SHM_THRESHOLD", "1024")
+        payload = _IN_BAND[kind]()
+        eng = MpEngine(IDEAL, topology=FullyConnected(2), timeout=60.0,
+                       shm=True)
+        got, writable_on_rank = eng.run(_echo(payload)).values[1]
+        assert type(got) is type(payload)
+        if isinstance(payload, bytes):
+            assert got == payload
+            return
+        assert got.dtype == payload.dtype and got.shape == payload.shape
+        if payload.flags.f_contiguous:
+            assert got.flags.f_contiguous, "memory order must survive"
+        if payload.dtype.hasobject:
+            assert got.tolist() == payload.tolist()
+        else:
+            assert got.tobytes() == payload.tobytes()
+        assert writable_on_rank and got.flags.writeable
+
+    def test_any_class_carrying_an_array_rides_the_plane(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHM_THRESHOLD", "1024")
+        arr = np.random.default_rng(5).random(4096)
+        eng = MpEngine(IDEAL, topology=FullyConnected(2), timeout=60.0,
+                       shm=True)
+        res = eng.run(_echo(_Carrier("x", arr)))
+        got, writable_on_rank = res.values[1]
+        assert isinstance(got, _Carrier) and got.label == "x"
+        assert got.payload.tobytes() == arr.tobytes()
+        assert writable_on_rank and got.payload.flags.writeable
+        assert res.stats[0].counters.get("shm_bytes_sent", 0) >= arr.nbytes
 
     def test_pool_ships_and_reclaims(self):
         mesh = five_point_grid(12, 12)
